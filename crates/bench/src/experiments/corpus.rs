@@ -10,9 +10,10 @@
 //!    a multi-worker pool; the serialized [`RunRecord`]s must be
 //!    byte-identical. Catches schedule-dependent state leaking into
 //!    results.
-//! 2. **scalar vs lanes** — per workload, all schemes re-run through
-//!    [`Experiment::run_scheme_batch`] (the lane-batched driver); again
-//!    byte-identical records. Catches batch-stepping divergence.
+//! 2. **shared stream vs independent runs** — per workload, all schemes
+//!    re-run as consumers of one step stream
+//!    ([`Experiment::run_shared`]); again byte-identical records.
+//!    Catches state leaking between consumers of a shared stream.
 //! 3. **scheme-invariant counters** — the reference instruction stream
 //!    is configuration-independent, so retired instructions, branch
 //!    count, L1I/L1D accesses, L1D stores and DTLB translations must be
@@ -33,7 +34,7 @@
 
 use super::{outln, ExpCtx, Report};
 use crate::{format_table, results_dir, run_jobs, BenchResult, Job};
-use ace_core::{Experiment, RunRecord};
+use ace_core::{Consumer, Experiment, RunRecord, SchemeRun};
 use ace_telemetry::Telemetry;
 use ace_workloads::{gen, minimize, GenParams, WorkloadSpec};
 use serde::{Deserialize, Serialize};
@@ -100,7 +101,7 @@ impl Default for CorpusParams {
 pub struct CorpusFailure {
     /// Workload name (`gen-<seed>` or a preset name).
     pub workload: String,
-    /// Oracle id: `"jobs"`, `"lanes"` or `"counters"`.
+    /// Oracle id: `"jobs"`, `"shared"` or `"counters"`.
     pub oracle: String,
     /// Human-readable mismatch detail.
     pub detail: String,
@@ -136,7 +137,7 @@ fn fnv(bytes: impl Iterator<Item = u8>) -> u64 {
 
 /// Byte-level fingerprint of one run: FNV-1a over the serialized record.
 /// Two records digest equal iff their JSON is byte-identical — exactly
-/// the equality the jobs/lanes oracles are defined over.
+/// the equality the jobs/shared oracles are defined over.
 pub fn record_digest(record: &RunRecord) -> String {
     let json = serde_json::to_string(record).expect("run record serializes");
     format!("{:016x}", fnv(json.bytes()))
@@ -168,6 +169,23 @@ fn run_one(
         e = e.instruction_limit(limit);
     }
     e.run().map_err(crate::BenchError::from)
+}
+
+/// Every scheme of one spec as consumers of one step stream.
+fn run_shared(
+    spec: &WorkloadSpec,
+    limit: Option<u64>,
+    telemetry: &Telemetry,
+) -> BenchResult<Vec<SchemeRun>> {
+    let mut e = Experiment::spec(spec.clone()).telemetry(telemetry);
+    if let Some(limit) = limit {
+        e = e.instruction_limit(limit);
+    }
+    let consumers = CORPUS_SCHEMES
+        .iter()
+        .map(|s| Consumer::scheme(*s))
+        .collect();
+    e.run_shared(consumers).map_err(crate::BenchError::from)
 }
 
 /// Scalar reference digests for every scheme of one spec.
@@ -215,25 +233,13 @@ fn oracle_fails(spec: &WorkloadSpec, oracle: &str, limit: Option<u64>, jobs: usi
                     Err(_) => false,
                 })
         }
-        "lanes" => {
-            let batch: Vec<Experiment> = CORPUS_SCHEMES
+        "shared" => match run_shared(spec, limit, &off) {
+            Ok(runs) => runs
                 .iter()
-                .map(|scheme| {
-                    let mut e = Experiment::spec(spec.clone()).scheme(*scheme);
-                    if let Some(limit) = limit {
-                        e = e.instruction_limit(limit);
-                    }
-                    e
-                })
-                .collect();
-            match Experiment::run_scheme_batch(batch) {
-                Ok(runs) => runs
-                    .iter()
-                    .zip(&reference)
-                    .any(|(run, (_, _, want))| record_digest(&run.record) != *want),
-                Err(_) => false,
-            }
-        }
+                .zip(&reference)
+                .any(|(run, (_, _, want))| record_digest(&run.record) != *want),
+            Err(_) => false,
+        },
         "counters" => {
             let base = invariant_counters(&reference[0].1);
             reference
@@ -369,29 +375,17 @@ pub fn run_corpus(params: &CorpusParams, telemetry: &Telemetry) -> BenchResult<C
         }
     }
 
-    // Pass C: per workload, all schemes through the lane-batched driver.
+    // Pass C: per workload, all schemes off one shared step stream.
     for ((spec, limit), reference) in specs.iter().zip(&references) {
-        let batch: Vec<Experiment> = CORPUS_SCHEMES
-            .iter()
-            .map(|scheme| {
-                let mut e = Experiment::spec(spec.clone())
-                    .scheme(*scheme)
-                    .telemetry(telemetry);
-                if let Some(limit) = limit {
-                    e = e.instruction_limit(*limit);
-                }
-                e
-            })
-            .collect();
-        let runs = Experiment::run_scheme_batch(batch).map_err(crate::BenchError::from)?;
+        let runs = run_shared(spec, *limit, telemetry)?;
         outcome.runs += runs.len();
         for (run, (scheme, _, want)) in runs.iter().zip(reference) {
             let got = record_digest(&run.record);
             if got != *want {
-                let detail = format!("{scheme}: lane-batched digest {got} != scalar {want}");
+                let detail = format!("{scheme}: shared-stream digest {got} != independent {want}");
                 outcome
                     .failures
-                    .push(capture_failure(params, spec, *limit, "lanes", detail));
+                    .push(capture_failure(params, spec, *limit, "shared", detail));
                 break;
             }
         }
@@ -517,7 +511,7 @@ pub fn render(params: &CorpusParams, outcome: &CorpusOutcome, out: &mut String) 
     );
     outln!(
         out,
-        "oracles: jobs=1 vs jobs={}, scalar vs lane-batched, scheme-invariant counters\n",
+        "oracles: jobs=1 vs jobs={}, shared stream vs independent runs, scheme-invariant counters\n",
         params.jobs
     );
     let rows: Vec<Vec<String>> = outcome

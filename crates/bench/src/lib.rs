@@ -45,7 +45,8 @@ pub use baseline::{
 pub use engine::{default_jobs, run_jobs, BenchError, BenchResult, Job, JobOutcome};
 
 use ace_core::{
-    BbvReport, Experiment, HotspotReport, RunConfig, RunRecord, Scheme, SchemeExt, SchemeRun,
+    BbvReport, Consumer, Experiment, HotspotReport, RunConfig, RunRecord, Scheme, SchemeExt,
+    SchemeRun,
 };
 use ace_telemetry::Telemetry;
 use ace_workloads::PRESET_NAMES;
@@ -111,8 +112,8 @@ pub const HEADLINE_SCHEMES: [Scheme; 3] = [Scheme::Baseline, Scheme::Bbv, Scheme
 pub struct WorkloadOutcome {
     /// The three scheme runs.
     pub results: SchemeResults,
-    /// Total worker wall-clock across the workload's scheme jobs
-    /// ([`Duration::ZERO`] for cache hits).
+    /// Worker wall-clock of the workload's one job, which runs all three
+    /// schemes off one step stream ([`Duration::ZERO`] for cache hits).
     pub wall: Duration,
     /// Whether the results came from the content-addressed cache.
     pub cached: bool,
@@ -140,7 +141,6 @@ pub struct ExperimentSet {
     fresh: bool,
     telemetry: Telemetry,
     results_dir: Option<PathBuf>,
-    lanes: usize,
 }
 
 impl ExperimentSet {
@@ -163,22 +163,7 @@ impl ExperimentSet {
             fresh: false,
             telemetry: Telemetry::off(),
             results_dir: None,
-            lanes: 1,
         }
-    }
-
-    /// Groups up to `lanes` consecutive runs into one lane-batched job
-    /// ([`ace_core::run_batch`]): the runs advance round-robin through
-    /// one machine batch, overlapping their dependency chains on a
-    /// single core. Results, caches, and the telemetry event stream are
-    /// byte-identical to `lanes = 1` — each lane traces into its own
-    /// buffered child, absorbed in member order. Only the engine's
-    /// scheduling metrics (`engine.jobs`, wall histograms) see the
-    /// different job shape. Default 1 (scalar); values are clamped to at
-    /// least 1.
-    pub fn lanes(mut self, lanes: usize) -> ExperimentSet {
-        self.lanes = lanes.max(1);
-        self
     }
 
     /// Selects the schemes to run. [`SchemeResults`] records exactly the
@@ -229,9 +214,10 @@ impl ExperimentSet {
         self.run_parallel(width)
     }
 
-    /// Runs every (workload × scheme) pair as a job on a pool of `jobs`
-    /// workers and returns one [`SchemeResults`] per preset, in preset
-    /// order — byte-identical at any pool width.
+    /// Runs every workload as a job on a pool of `jobs` workers — the
+    /// three schemes of one workload share its step stream
+    /// ([`Experiment::run_shared`]) — and returns one [`SchemeResults`]
+    /// per preset, in preset order, byte-identical at any pool width.
     ///
     /// # Errors
     ///
@@ -270,10 +256,9 @@ impl ExperimentSet {
 
         let dir = self.results_dir.clone().unwrap_or_else(results_dir);
 
-        // Phase 1: resolve caches; collect (workload, scheme) runs for
-        // the misses, in submission order.
+        // Phase 1: resolve caches; one job per miss, in preset order.
         let mut cached: Vec<Option<SchemeResults>> = Vec::with_capacity(self.presets.len());
-        let mut misses: Vec<(String, Scheme)> = Vec::new();
+        let mut pool: Vec<Job<Vec<SchemeRun>>> = Vec::new();
         for name in &self.presets {
             let path = dir.join(cache_file_name(name, &self.base));
             if !self.fresh {
@@ -283,61 +268,16 @@ impl ExperimentSet {
                 }
             }
             cached.push(None);
-            for scheme in HEADLINE_SCHEMES {
-                misses.push((name.clone(), scheme));
-            }
+            let (name, base) = (name.clone(), self.base.clone());
+            pool.push(Job::new(name.clone(), move |tel| {
+                run_headline(&name, &base, tel)
+            }));
         }
 
-        // Phase 2: fan out. Consecutive runs group into lane-batched
-        // jobs of up to `self.lanes` members (see [`ExperimentSet::lanes`]).
-        let groups: Vec<Vec<(String, Scheme)>> = misses
-            .chunks(self.lanes.max(1))
-            .map(<[(String, Scheme)]>::to_vec)
-            .collect();
-        let mut pool: Vec<Job<Vec<SchemeRun>>> = Vec::with_capacity(groups.len());
-        for group in &groups {
-            let key = match group.as_slice() {
-                [(name, scheme)] => format!("{name}/{}", scheme.name()),
-                _ => {
-                    let (first, last) = (&group[0], &group[group.len() - 1]);
-                    format!(
-                        "{}/{}..{}/{} [{} lanes]",
-                        first.0,
-                        first.1.name(),
-                        last.0,
-                        last.1.name(),
-                        group.len()
-                    )
-                }
-            };
-            let group = group.clone();
-            let base = self.base.clone();
-            pool.push(Job::new(key, move |tel| run_lane_group(&group, &base, tel)));
-        }
-        let outcomes = run_jobs(pool, jobs, &self.telemetry);
-
-        // Flatten group outcomes back to one outcome per run, dividing
-        // each group's worker wall-clock evenly across its members.
-        let mut flat: Vec<(String, BenchResult<SchemeRun>, Duration)> =
-            Vec::with_capacity(misses.len());
-        for (group, outcome) in groups.iter().zip(outcomes) {
-            let share = outcome.wall / group.len().max(1) as u32;
-            match outcome.result {
-                Ok(runs) => {
-                    for ((name, scheme), run) in group.iter().zip(runs) {
-                        flat.push((format!("{name}/{}", scheme.name()), Ok(run), share));
-                    }
-                }
-                Err(e) => {
-                    for (name, scheme) in group {
-                        flat.push((format!("{name}/{}", scheme.name()), Err(e.clone()), share));
-                    }
-                }
-            }
-        }
+        // Phase 2: fan out.
+        let mut outcomes = run_jobs(pool, jobs, &self.telemetry).into_iter();
 
         // Phase 3: merge in preset order; write caches; aggregate errors.
-        let mut outcomes = flat.into_iter();
         let mut results = Vec::with_capacity(self.presets.len());
         let mut failures: Vec<String> = Vec::new();
         for (name, hit) in self.presets.iter().zip(cached) {
@@ -349,23 +289,16 @@ impl ExperimentSet {
                 });
                 continue;
             }
-            let mut runs = Vec::with_capacity(HEADLINE_SCHEMES.len());
-            let mut wall = Duration::ZERO;
-            for _ in HEADLINE_SCHEMES {
-                let (key, result, run_wall) = outcomes.next().expect("one outcome per run");
-                wall += run_wall;
-                match result {
-                    Ok(run) => runs.push(run),
-                    Err(e) => failures.push(format!("{key}: {e}")),
+            let outcome = outcomes.next().expect("one outcome per job");
+            let runs = match outcome.result {
+                Ok(runs) => runs,
+                Err(e) => {
+                    failures.push(format!("{}: {e}", outcome.key));
+                    continue;
                 }
-            }
-            if runs.len() != HEADLINE_SCHEMES.len() {
-                continue; // failure already recorded
-            }
-            let mut runs = runs.into_iter();
-            let baseline = runs.next().expect("baseline run");
-            let bbv = runs.next().expect("bbv run");
-            let hotspot = runs.next().expect("hotspot run");
+            };
+            let [baseline, bbv, hotspot]: [SchemeRun; 3] =
+                runs.try_into().expect("one run per headline scheme");
             let (SchemeExt::Bbv(bbv_report), SchemeExt::Hotspot(hotspot_report)) =
                 (bbv.report.ext, hotspot.report.ext)
             else {
@@ -385,7 +318,7 @@ impl ExperimentSet {
             }
             results.push(WorkloadOutcome {
                 results: assembled,
-                wall,
+                wall: outcome.wall,
                 cached: false,
             });
         }
@@ -396,27 +329,12 @@ impl ExperimentSet {
     }
 }
 
-/// Runs one lane group inside an engine job. A single member runs
-/// scalar; two or more advance round-robin through the lane-batched
-/// driver ([`Experiment::run_scheme_batch`]). Each lane traces into its
-/// own buffered telemetry child, absorbed into the job's handle in
-/// member order, so the event stream the parent sees is byte-identical
-/// to the same runs executed scalar.
-fn run_lane_group(
-    group: &[(String, Scheme)],
-    base: &RunConfig,
-    tel: &Telemetry,
-) -> BenchResult<Vec<SchemeRun>> {
-    let experiment = |name: &str, scheme: Scheme, t: &Telemetry| {
-        Experiment::preset(name)
-            .config(base.clone())
-            .scheme(scheme)
-            .telemetry(t)
-    };
-    if let [(name, scheme)] = group {
-        return Ok(vec![experiment(name, *scheme, tel).run_scheme()?]);
-    }
-    let lanes: Vec<_> = group
+/// Runs one workload's [`HEADLINE_SCHEMES`] off one step stream inside an
+/// engine job. Each scheme traces into its own buffered telemetry child,
+/// absorbed into the job's handle in scheme order, so the event stream
+/// the parent sees equals the three runs executed one after another.
+fn run_headline(name: &str, base: &RunConfig, tel: &Telemetry) -> BenchResult<Vec<SchemeRun>> {
+    let children: Vec<_> = HEADLINE_SCHEMES
         .iter()
         .map(|_| {
             if tel.is_enabled() {
@@ -427,14 +345,15 @@ fn run_lane_group(
             }
         })
         .collect();
-    let runs = Experiment::run_scheme_batch(
-        group
-            .iter()
-            .zip(&lanes)
-            .map(|((name, scheme), (child, _))| experiment(name, *scheme, child))
-            .collect(),
-    )?;
-    for (child, sink) in &lanes {
+    let consumers = HEADLINE_SCHEMES
+        .iter()
+        .zip(&children)
+        .map(|(scheme, (child, _))| Consumer::scheme(*scheme).telemetry(child))
+        .collect();
+    let runs = Experiment::preset(name)
+        .config(base.clone())
+        .run_shared(consumers)?;
+    for (child, sink) in &children {
         let events = sink.as_ref().map(|s| s.drain()).unwrap_or_default();
         tel.absorb_child(child, &events);
     }

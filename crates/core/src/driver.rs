@@ -6,13 +6,19 @@
 //! [`crate::NullManager`], the
 //! paper's scheme [`crate::HotspotAceManager`], the temporal baseline
 //! [`crate::BbvAceManager`], and the ablations [`crate::FixedManager`].
+//!
+//! There is one step loop. It is generic over the step source (the
+//! scalar [`Executor`] or the [`ThreadedExecutor`]) and feeds each step
+//! to a list of consumers, each with its own machine, DO system, manager
+//! and telemetry handle. A single run is one consumer; comparing schemes
+//! on one workload runs them all off one step stream.
 
 use crate::manager::AceManager;
 use ace_energy::{EnergyBreakdown, EnergyModel};
 use ace_runtime::{DoConfig, DoStats, DoSystem, Table4Row};
 use ace_sim::{Block, ConfigError, Machine, MachineConfig, MachineCounters};
 use ace_telemetry::Telemetry;
-use ace_workloads::{Executor, Program, Step};
+use ace_workloads::{Executor, MethodId, MtStep, Program, Step, ThreadId, ThreadedExecutor};
 use serde::{Deserialize, Serialize};
 
 /// Parameters of one run.
@@ -79,7 +85,7 @@ impl RunRecord {
 /// counters (`workload.walk_blocks.<kind>`). The same profile drives the
 /// hot-first ordering of the walk dispatch in `ace_workloads::Executor`;
 /// exporting it makes the measured mix inspectable from any metrics dump.
-pub(crate) fn publish_walk_profile(telemetry: &Telemetry, profile: [u64; 4]) {
+fn publish_walk_profile(telemetry: &Telemetry, profile: [u64; 4]) {
     if let Some(metrics) = telemetry.metrics() {
         for (name, count) in ace_workloads::WALK_KIND_NAMES.iter().zip(profile) {
             if count > 0 {
@@ -125,66 +131,7 @@ pub fn run_with_manager<M: AceManager>(
     cfg: &RunConfig,
     manager: &mut M,
 ) -> Result<RunRecord, ConfigError> {
-    run_with_manager_impl(program, cfg, manager)
-}
-
-pub(crate) fn run_with_manager_impl<M: AceManager + ?Sized>(
-    program: &Program,
-    cfg: &RunConfig,
-    manager: &mut M,
-) -> Result<RunRecord, ConfigError> {
-    let mut machine = Machine::new(cfg.machine.clone())?;
-    let mut dos = DoSystem::new(program, cfg.do_config.clone());
-    dos.set_telemetry(cfg.telemetry.clone());
-    manager.set_telemetry(cfg.telemetry.clone());
-    let _run_timer = cfg.telemetry.metrics().map(|m| m.timer("run_wall_ms"));
-    let mut exec = match cfg.workload_seed {
-        Some(seed) => Executor::with_seed(program, seed),
-        None => Executor::new(program),
-    };
-    if let Some(limit) = cfg.instruction_limit {
-        exec.set_instruction_limit(limit);
-    }
-    let mut buf = Block::with_capacity(64);
-    // Entry instret per live frame, for raw method-exit sizes.
-    let mut entry_stack: Vec<u64> = Vec::with_capacity(64);
-
-    manager.on_start(&mut machine);
-    loop {
-        match exec.step(&mut buf) {
-            Step::Block => {
-                machine.exec_block(&buf);
-                manager.on_block(&buf, &mut machine);
-            }
-            Step::Enter(m) => {
-                entry_stack.push(machine.instret());
-                manager.on_method_enter(m, &mut machine);
-                let event = dos.on_enter(m, &mut machine);
-                manager.on_event(event, &mut machine);
-            }
-            Step::Exit(m) => {
-                let entered = entry_stack.pop().unwrap_or(0);
-                manager.on_method_exit(m, machine.instret() - entered, &mut machine);
-                let event = dos.on_exit(m, &mut machine);
-                manager.on_event(event, &mut machine);
-            }
-            Step::Done => break,
-        }
-    }
-    manager.on_finish(&mut machine);
-    publish_walk_profile(&cfg.telemetry, exec.walk_profile());
-
-    let counters = machine.counters().clone();
-    Ok(RunRecord {
-        workload: program.name().to_string(),
-        instret: counters.instret,
-        cycles: counters.cycles,
-        ipc: counters.ipc(),
-        energy: cfg.energy.breakdown(&counters),
-        table4: dos.table4_summary(counters.instret),
-        do_stats: *dos.stats(),
-        counters,
-    })
+    run_one(program, cfg, None, manager)
 }
 
 /// Runs a multithreaded program: `entries` are the per-thread entry
@@ -205,88 +152,241 @@ pub(crate) fn run_with_manager_impl<M: AceManager + ?Sized>(
 )]
 pub fn run_threaded<M: AceManager>(
     program: &Program,
-    entries: &[ace_workloads::MethodId],
+    entries: &[MethodId],
     quantum_instr: u64,
     cfg: &RunConfig,
     manager: &mut M,
 ) -> Result<RunRecord, ConfigError> {
-    run_threaded_impl(program, entries, quantum_instr, cfg, manager)
+    run_one(program, cfg, Some((entries, quantum_instr)), manager)
 }
 
-pub(crate) fn run_threaded_impl<M: AceManager + ?Sized>(
+/// One run: the single-consumer case of [`run_stream`], tracing into
+/// `cfg.telemetry`.
+pub(crate) fn run_one<M: AceManager + ?Sized>(
     program: &Program,
-    entries: &[ace_workloads::MethodId],
-    quantum_instr: u64,
     cfg: &RunConfig,
+    threading: Option<(&[MethodId], u64)>,
     manager: &mut M,
 ) -> Result<RunRecord, ConfigError> {
-    use ace_workloads::{MtStep, ThreadedExecutor};
+    let mut records = run_stream(
+        program,
+        cfg,
+        threading,
+        vec![(manager, cfg.telemetry.clone())],
+    )?;
+    Ok(records.pop().expect("one consumer, one record"))
+}
 
-    assert!(!entries.is_empty(), "need at least one thread entry");
-    let mut machine = Machine::new(cfg.machine.clone())?;
-    let mut dos = DoSystem::new(program, cfg.do_config.clone());
-    dos.set_telemetry(cfg.telemetry.clone());
-    manager.set_telemetry(cfg.telemetry.clone());
-    let _run_timer = cfg.telemetry.metrics().map(|m| m.timer("run_wall_ms"));
-    let threads: Vec<_> = entries
-        .iter()
-        .enumerate()
-        .map(|(i, &entry)| {
-            let seed = cfg.workload_seed.unwrap_or(program.seed()) ^ (i as u64 + 1);
-            ace_workloads::Executor::with_entry(program, entry, seed)
-        })
-        .collect();
-    let mut mt = ThreadedExecutor::new(threads, quantum_instr);
-    let mut buf = Block::with_capacity(64);
-    let mut entry_stacks: Vec<Vec<u64>> = vec![Vec::new(); entries.len()];
-
-    manager.on_start(&mut machine);
-    loop {
-        if let Some(limit) = cfg.instruction_limit {
-            if machine.instret() >= limit {
-                break;
+/// Runs `program` once and feeds its step stream to every consumer — a
+/// manager plus the telemetry handle its run traces into — returning one
+/// [`RunRecord`] per consumer, in order. `threading` selects the threaded
+/// multiplexer (`entries`, quantum) over the scalar executor.
+///
+/// The step stream does not depend on the consumers: the executor never
+/// sees the machine, and `instret` counts stream instructions only. So
+/// each consumer's record, manager decisions and event stream are
+/// exactly those of a run of its own. `cfg.telemetry` is not used; every
+/// consumer carries its handle.
+///
+/// # Errors
+///
+/// Returns [`ConfigError`] if the machine configuration is invalid; no
+/// consumer runs in that case.
+///
+/// # Panics
+///
+/// Panics if `threading` names no entry method.
+pub(crate) fn run_stream<M: AceManager + ?Sized>(
+    program: &Program,
+    cfg: &RunConfig,
+    threading: Option<(&[MethodId], u64)>,
+    consumers: Vec<(&mut M, Telemetry)>,
+) -> Result<Vec<RunRecord>, ConfigError> {
+    match threading {
+        None => {
+            let mut exec = match cfg.workload_seed {
+                Some(seed) => Executor::with_seed(program, seed),
+                None => Executor::new(program),
+            };
+            if let Some(limit) = cfg.instruction_limit {
+                exec.set_instruction_limit(limit);
             }
+            let workload = program.name().to_string();
+            drive(program, workload, exec, 1, cfg, consumers)
         }
-        match mt.step(&mut buf) {
+        Some((entries, quantum_instr)) => {
+            assert!(!entries.is_empty(), "need at least one thread entry");
+            let threads = entries
+                .iter()
+                .enumerate()
+                .map(|(i, &entry)| {
+                    let seed = cfg.workload_seed.unwrap_or(program.seed()) ^ (i as u64 + 1);
+                    Executor::with_entry(program, entry, seed)
+                })
+                .collect();
+            let source = Threaded {
+                mt: ThreadedExecutor::new(threads, quantum_instr),
+                limit: cfg.instruction_limit,
+                instret: 0,
+            };
+            let workload = format!("{}({}T)", program.name(), entries.len());
+            drive(program, workload, source, entries.len(), cfg, consumers)
+        }
+    }
+}
+
+/// A step stream in the threaded event vocabulary. The scalar executor
+/// is thread 0 and never switches.
+trait StepSource {
+    fn next(&mut self, buf: &mut Block) -> MtStep;
+    fn walk_profile(&self) -> [u64; 4];
+}
+
+impl StepSource for Executor<'_> {
+    #[inline(always)]
+    fn next(&mut self, buf: &mut Block) -> MtStep {
+        const MAIN: ThreadId = ThreadId(0);
+        match self.step(buf) {
+            Step::Block => MtStep::Block(MAIN),
+            Step::Enter(m) => MtStep::Enter(MAIN, m),
+            Step::Exit(m) => MtStep::Exit(MAIN, m),
+            Step::Done => MtStep::Done,
+        }
+    }
+
+    fn walk_profile(&self) -> [u64; 4] {
+        Executor::walk_profile(self)
+    }
+}
+
+/// The threaded multiplexer under its instruction-limit rule: the stream
+/// stops at the first step once `limit` instructions have retired, with
+/// frames left open. (The scalar executor instead stops emitting blocks
+/// at its cap and unwinds through its open frames.)
+struct Threaded<'p> {
+    mt: ThreadedExecutor<'p>,
+    limit: Option<u64>,
+    /// Stream instructions retired so far — every consumer's `instret`.
+    instret: u64,
+}
+
+impl StepSource for Threaded<'_> {
+    #[inline(always)]
+    fn next(&mut self, buf: &mut Block) -> MtStep {
+        if self.limit.is_some_and(|limit| self.instret >= limit) {
+            return MtStep::Done;
+        }
+        let step = self.mt.step(buf);
+        if let MtStep::Block(_) = step {
+            self.instret += buf.ninstr as u64;
+        }
+        step
+    }
+
+    fn walk_profile(&self) -> [u64; 4] {
+        self.mt.walk_profile()
+    }
+}
+
+/// Everything one consumer of a step stream owns.
+struct ConsumerState<'p, 'm, M: ?Sized> {
+    machine: Machine,
+    dos: DoSystem<'p>,
+    manager: &'m mut M,
+    /// Entry instret per live frame, per thread, for raw method-exit sizes.
+    entry_stacks: Vec<Vec<u64>>,
+    telemetry: Telemetry,
+}
+
+/// The step loop: one step of `source` at a time, each applied to every
+/// consumer in turn.
+fn drive<S: StepSource, M: AceManager + ?Sized>(
+    program: &Program,
+    workload: String,
+    mut source: S,
+    threads: usize,
+    cfg: &RunConfig,
+    consumers: Vec<(&mut M, Telemetry)>,
+) -> Result<Vec<RunRecord>, ConfigError> {
+    let mut states = Vec::with_capacity(consumers.len());
+    for (manager, telemetry) in consumers {
+        let machine = Machine::new(cfg.machine.clone())?;
+        let mut dos = DoSystem::new(program, cfg.do_config.clone());
+        dos.set_telemetry(telemetry.clone());
+        manager.set_telemetry(telemetry.clone());
+        states.push(ConsumerState {
+            machine,
+            dos,
+            manager,
+            entry_stacks: vec![Vec::with_capacity(64); threads],
+            telemetry,
+        });
+    }
+    let _run_timers: Vec<_> = states
+        .iter()
+        .map(|c| c.telemetry.metrics().map(|m| m.timer("run_wall_ms")))
+        .collect();
+    let mut buf = Block::with_capacity(64);
+
+    for c in &mut states {
+        c.manager.on_start(&mut c.machine);
+    }
+    loop {
+        match source.next(&mut buf) {
             MtStep::Block(_) => {
-                machine.exec_block(&buf);
-                manager.on_block(&buf, &mut machine);
+                for c in &mut states {
+                    c.machine.exec_block(&buf);
+                    c.manager.on_block(&buf, &mut c.machine);
+                }
             }
             MtStep::Switch(tid) => {
-                dos.on_thread_switch(tid.0, &machine);
-                // A context switch drains the pipeline and touches the
-                // scheduler's state: a small fixed cost.
-                machine.add_overhead_cycles(200);
+                for c in &mut states {
+                    c.dos.on_thread_switch(tid.0, &c.machine);
+                    // A context switch drains the pipeline and touches the
+                    // scheduler's state: a small fixed cost.
+                    c.machine.add_overhead_cycles(200);
+                }
             }
             MtStep::Enter(tid, m) => {
-                entry_stacks[tid.0 as usize].push(machine.instret());
-                manager.on_method_enter(m, &mut machine);
-                let event = dos.on_enter(m, &mut machine);
-                manager.on_event(event, &mut machine);
+                for c in &mut states {
+                    c.entry_stacks[tid.0 as usize].push(c.machine.instret());
+                    c.manager.on_method_enter(m, &mut c.machine);
+                    let event = c.dos.on_enter(m, &mut c.machine);
+                    c.manager.on_event(event, &mut c.machine);
+                }
             }
             MtStep::Exit(tid, m) => {
-                let entered = entry_stacks[tid.0 as usize].pop().unwrap_or(0);
-                manager.on_method_exit(m, machine.instret() - entered, &mut machine);
-                let event = dos.on_exit(m, &mut machine);
-                manager.on_event(event, &mut machine);
+                for c in &mut states {
+                    let entered = c.entry_stacks[tid.0 as usize].pop().unwrap_or(0);
+                    let size = c.machine.instret() - entered;
+                    c.manager.on_method_exit(m, size, &mut c.machine);
+                    let event = c.dos.on_exit(m, &mut c.machine);
+                    c.manager.on_event(event, &mut c.machine);
+                }
             }
             MtStep::Done => break,
         }
     }
-    manager.on_finish(&mut machine);
-    publish_walk_profile(&cfg.telemetry, mt.walk_profile());
 
-    let counters = machine.counters().clone();
-    Ok(RunRecord {
-        workload: format!("{}({}T)", program.name(), entries.len()),
-        instret: counters.instret,
-        cycles: counters.cycles,
-        ipc: counters.ipc(),
-        energy: cfg.energy.breakdown(&counters),
-        table4: dos.table4_summary(counters.instret),
-        do_stats: *dos.stats(),
-        counters,
-    })
+    let profile = source.walk_profile();
+    Ok(states
+        .into_iter()
+        .map(|mut c| {
+            c.manager.on_finish(&mut c.machine);
+            publish_walk_profile(&c.telemetry, profile);
+            let counters = c.machine.counters().clone();
+            RunRecord {
+                workload: workload.clone(),
+                instret: counters.instret,
+                cycles: counters.cycles,
+                ipc: counters.ipc(),
+                energy: cfg.energy.breakdown(&counters),
+                table4: c.dos.table4_summary(counters.instret),
+                do_stats: *c.dos.stats(),
+                counters,
+            }
+        })
+        .collect())
 }
 
 #[cfg(test)]
@@ -306,7 +406,7 @@ mod tests {
     #[test]
     fn baseline_run_produces_sane_record() {
         let p = ace_workloads::preset("compress").unwrap();
-        let r = run_with_manager_impl(&p, &small_cfg(3_000_000), &mut NullManager).unwrap();
+        let r = run_one(&p, &small_cfg(3_000_000), None, &mut NullManager).unwrap();
         assert!(r.instret >= 3_000_000);
         assert!(r.ipc > 0.5 && r.ipc < 4.0, "ipc {}", r.ipc);
         assert!(r.energy.total_nj() > 0.0);
@@ -316,8 +416,8 @@ mod tests {
     #[test]
     fn deterministic_records() {
         let p = ace_workloads::preset("jess").unwrap();
-        let a = run_with_manager_impl(&p, &small_cfg(2_000_000), &mut NullManager).unwrap();
-        let b = run_with_manager_impl(&p, &small_cfg(2_000_000), &mut NullManager).unwrap();
+        let a = run_one(&p, &small_cfg(2_000_000), None, &mut NullManager).unwrap();
+        let b = run_one(&p, &small_cfg(2_000_000), None, &mut NullManager).unwrap();
         assert_eq!(a.instret, b.instret);
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.counters, b.counters);
@@ -328,12 +428,12 @@ mod tests {
         // db's working sets are tiny; pinning small caches must save energy
         // with modest slowdown.
         let p = ace_workloads::preset("db").unwrap();
-        let base = run_with_manager_impl(&p, &small_cfg(5_000_000), &mut NullManager).unwrap();
+        let base = run_one(&p, &small_cfg(5_000_000), None, &mut NullManager).unwrap();
         let mut small = FixedManager::new(AceConfig::both(
             SizeLevel::new(3).unwrap(),
             SizeLevel::new(2).unwrap(),
         ));
-        let r = run_with_manager_impl(&p, &small_cfg(5_000_000), &mut small).unwrap();
+        let r = run_one(&p, &small_cfg(5_000_000), None, &mut small).unwrap();
         assert!(
             r.l1d_saving_vs(&base) > 0.3,
             "L1D saving {:.3}",
@@ -354,7 +454,7 @@ mod tests {
     #[test]
     fn slowdown_sign_convention() {
         let p = ace_workloads::preset("db").unwrap();
-        let base = run_with_manager_impl(&p, &small_cfg(1_000_000), &mut NullManager).unwrap();
+        let base = run_one(&p, &small_cfg(1_000_000), None, &mut NullManager).unwrap();
         assert_eq!(base.slowdown_vs(&base), 0.0);
     }
 }

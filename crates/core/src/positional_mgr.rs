@@ -247,7 +247,7 @@ impl AceManager for PositionalAceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_with_manager_impl as run_with_manager, RunConfig};
+    use crate::driver::{run_one, RunConfig};
     use crate::manager::NullManager;
 
     fn limited(limit: u64) -> RunConfig {
@@ -265,7 +265,7 @@ mod tests {
             PositionalManagerConfig::default(),
             EnergyModel::default_180nm(),
         );
-        let _ = run_with_manager(&program, &limited(40_000_000), &mut mgr).unwrap();
+        let _ = run_one(&program, &limited(40_000_000), None, &mut mgr).unwrap();
         let r = mgr.report();
         // jess's two stage methods exceed the 500K cutoff.
         assert!(
@@ -284,14 +284,14 @@ mod tests {
         let program = ace_workloads::preset("mpeg").unwrap();
         let cfg = limited(60_000_000);
         let model = EnergyModel::default_180nm();
-        let base = run_with_manager(&program, &cfg, &mut NullManager).unwrap();
+        let base = run_one(&program, &cfg, None, &mut NullManager).unwrap();
 
         let mut pos =
             PositionalAceManager::new(&program, PositionalManagerConfig::default(), model);
-        let r_pos = run_with_manager(&program, &cfg, &mut pos).unwrap();
+        let r_pos = run_one(&program, &cfg, None, &mut pos).unwrap();
 
         let mut hs = crate::HotspotAceManager::new(crate::HotspotManagerConfig::default(), model);
-        let r_hs = run_with_manager(&program, &cfg, &mut hs).unwrap();
+        let r_hs = run_one(&program, &cfg, None, &mut hs).unwrap();
 
         let sav_pos = 1.0 - r_pos.energy.total_nj() / base.energy.total_nj();
         let sav_hs = 1.0 - r_hs.energy.total_nj() / base.energy.total_nj();
@@ -309,7 +309,7 @@ mod tests {
             PositionalManagerConfig::default(),
             EnergyModel::default_180nm(),
         );
-        let _ = run_with_manager(&program, &limited(10_000_000), &mut mgr).unwrap();
+        let _ = run_one(&program, &limited(10_000_000), None, &mut mgr).unwrap();
         // Kernels (~150K instructions) are far below the 500K cutoff.
         assert!(mgr.report().large_procedures <= 4);
     }

@@ -2,8 +2,10 @@
 //! warm-start payoff (a warm fleet measurably out-tunes a cold one), and
 //! store persistence across "process restarts".
 
+use ace_core::{Experiment, NullManager};
 use ace_fleet::{
-    fleet_registry_version, render_report, run_fleet, FleetConfig, FleetOutcome, TuningStore,
+    fleet_do_config, fleet_registry_version, render_report, run_fleet, FleetConfig, FleetOutcome,
+    TuningStore,
 };
 use ace_telemetry::{EventKind, Telemetry};
 use std::path::PathBuf;
@@ -68,24 +70,25 @@ fn fleet_is_byte_identical_across_worker_counts() {
     assert_eq!(serial.4, parallel.4, "final store differs across widths");
 }
 
-/// The lane-batching determinism matrix. The smoke shape cycles 7
-/// presets, so at `wave_size <= 7` every preset-affine bucket is a
-/// singleton and multi-lane groups never form; this shape runs 2
-/// presets in waves of 8 so each wave builds two 4-machine affine
-/// groups. Everything observable — both pass fingerprints, the report,
-/// the final store, and the full telemetry *event stream* (order
-/// included, since the wave merge absorbs lanes in machine-index
-/// order) — must be byte-identical across jobs x lanes.
+/// The full telemetry *event stream* (order included), both pass
+/// fingerprints, the report and the final store are byte-identical
+/// across worker counts. The baseline companion — a non-adaptive
+/// consumer on each machine's step stream — runs untraced: switching it
+/// on leaves the event stream, the store and every managed-run field
+/// untouched, and its numbers equal an independent baseline run.
 #[test]
-fn fleet_is_byte_identical_across_lane_counts() {
-    let run_at = |jobs: usize, lanes: usize| {
-        let mut cfg = test_config();
-        cfg.presets = vec!["db".into(), "compress".into()];
-        cfg.machines = 16;
-        cfg.wave_size = 8;
-        cfg.admit_limit = 8;
-        cfg.instruction_limit = 400_000;
-        cfg.lanes = lanes;
+fn fleet_event_stream_is_invariant_to_width_and_baseline_companion() {
+    let mut cfg = test_config();
+    cfg.presets = vec!["db".into(), "compress".into()];
+    cfg.machines = 16;
+    cfg.wave_size = 8;
+    cfg.admit_limit = 8;
+    cfg.instruction_limit = 400_000;
+    let run_at = |jobs: usize, measure_baseline: bool| {
+        let cfg = FleetConfig {
+            measure_baseline,
+            ..cfg.clone()
+        };
         let (tel, sink) = Telemetry::buffered();
         let mut store = memory_store();
         let cold = run_fleet(&cfg, &mut store, jobs, &tel).expect("cold pass");
@@ -96,24 +99,51 @@ fn fleet_is_byte_identical_across_lane_counts() {
             .iter()
             .map(|e| serde_json::to_string(e).expect("event serializes"))
             .collect();
-        (
-            fingerprint(&cold),
-            fingerprint(&warm),
-            report,
-            events,
-            store.entries_sorted(),
-        )
+        (cold, warm, report, events, store.entries_sorted())
     };
-    let base = run_at(1, 1);
+    let without_baseline = |o: &FleetOutcome| {
+        let mut o = o.clone();
+        for m in &mut o.machines {
+            m.baseline = None;
+        }
+        fingerprint(&o)
+    };
+
+    let base = run_at(1, false);
     assert!(!base.3.is_empty(), "the traced fleet must emit events");
-    for (jobs, lanes) in [(1usize, 4usize), (8, 1), (8, 4)] {
-        let other = run_at(jobs, lanes);
-        let at = format!("jobs={jobs} lanes={lanes}");
-        assert_eq!(base.0, other.0, "cold pass differs at {at}");
-        assert_eq!(base.1, other.1, "warm pass differs at {at}");
-        assert_eq!(base.2, other.2, "report text differs at {at}");
+    for (jobs, measure_baseline) in [(8, false), (1, true), (8, true)] {
+        let other = run_at(jobs, measure_baseline);
+        let at = format!("jobs={jobs} measure_baseline={measure_baseline}");
         assert_eq!(base.3, other.3, "telemetry event stream differs at {at}");
         assert_eq!(base.4, other.4, "final store differs at {at}");
+        assert_eq!(
+            fingerprint(&base.0),
+            without_baseline(&other.0),
+            "cold pass differs at {at}"
+        );
+        assert_eq!(
+            fingerprint(&base.1),
+            without_baseline(&other.1),
+            "warm pass differs at {at}"
+        );
+        if !measure_baseline {
+            assert_eq!(base.2, other.2, "report text differs at {at}");
+            continue;
+        }
+        for m in other.0.machines.iter().chain(&other.1.machines) {
+            let solo = Experiment::preset(&m.spec.preset)
+                .seed(m.spec.seed)
+                .do_config(fleet_do_config())
+                .instruction_limit(cfg.instruction_limit)
+                .run_with(&mut NullManager)
+                .expect("baseline run");
+            assert_eq!(
+                m.baseline,
+                Some((solo.ipc, solo.energy.l1d_nj, solo.energy.l2_nj)),
+                "machine {} baseline differs from an independent run at {at}",
+                m.spec.index
+            );
+        }
     }
 }
 

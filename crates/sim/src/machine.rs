@@ -165,7 +165,7 @@ impl MachineCounters {
 /// loop (see [`Machine::ref_consts`]): configuration-derived, invariant
 /// for the duration of any block.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RefConsts {
+struct RefConsts {
     tlb_penalty: u64,
     l2_hit_milli: u64,
     mem_miss_milli: u64,
@@ -173,11 +173,10 @@ pub(crate) struct RefConsts {
     line_shift: u32,
 }
 
-/// Per-block accumulator state of the data-reference loop. One lives on
-/// the scalar stack in [`Machine::exec_block`]; the lane-batched path
-/// keeps one per lane while stepping references across machines.
+/// Per-block accumulator state of the data-reference loop; it lives on
+/// the stack of [`Machine::exec_block`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RefCursor {
+struct RefCursor {
     /// Previously referenced cache line (fused same-line fast path).
     prev_line: u64,
     /// Exposed data-stall milli-cycles accumulated so far.
@@ -188,7 +187,7 @@ pub(crate) struct RefCursor {
 
 impl RefCursor {
     #[inline]
-    pub(crate) fn new() -> RefCursor {
+    fn new() -> RefCursor {
         RefCursor {
             // No real line: addresses pack into 62 bits.
             prev_line: u64::MAX,
@@ -344,11 +343,8 @@ impl Machine {
     /// out of the per-access loop; reconfiguration can only happen between
     /// blocks, so they are loop-invariant.
     ///
-    /// The body is assembled from `pub(crate)` pieces (`fetch_stalls`,
-    /// `data_ref`, `retire_block`), and the lane-batched path
-    /// ([`crate::MachineBatch`]) executes exactly this function per
-    /// (lane, block) — one implementation, two schedules — which is what
-    /// makes batched and scalar stepping byte-identical by construction.
+    /// The body is assembled from three pieces: `fetch_stalls`, one
+    /// `data_ref` per reference, and `retire_block`.
     pub fn exec_block(&mut self, block: &Block) {
         let mut stalls = self.fetch_stalls(block.pc);
         let consts = self.ref_consts();
@@ -362,7 +358,7 @@ impl Machine {
     /// Instruction fetch: one L1I probe per block. Returns the fetch
     /// stall cycles (zero on an L1I hit).
     #[inline]
-    pub(crate) fn fetch_stalls(&mut self, pc: u64) -> u64 {
+    fn fetch_stalls(&mut self, pc: u64) -> u64 {
         let i_out = self.l1i.access(pc, false);
         if i_out.hit {
             return 0;
@@ -379,7 +375,7 @@ impl Machine {
     /// the configuration, and reconfiguration can only happen between
     /// blocks, so they are loop-invariant for any block.
     #[inline]
-    pub(crate) fn ref_consts(&self) -> RefConsts {
+    fn ref_consts(&self) -> RefConsts {
         RefConsts {
             tlb_penalty: self.cfg.tlb_miss_penalty as u64,
             // Milli-cycles: latency * 1000 * exposure% / 100.
@@ -402,7 +398,7 @@ impl Machine {
     /// probe, promotion, and translation are all the identity, leaving
     /// only the dirty-bit OR.
     #[inline]
-    pub(crate) fn data_ref(
+    fn data_ref(
         &mut self,
         consts: &RefConsts,
         addr: u64,
@@ -443,7 +439,7 @@ impl Machine {
     /// bulk statistics update, window exposure scaling, branch
     /// resolution, issue bandwidth, and the counter tail.
     #[inline]
-    pub(crate) fn retire_block(&mut self, block: &Block, mut stalls: u64, cursor: &RefCursor) {
+    fn retire_block(&mut self, block: &Block, mut stalls: u64, cursor: &RefCursor) {
         let nrefs = block.accesses.len() as u64;
         self.l1d.bulk_count(nrefs, cursor.nstores);
         self.dtlb.bulk_count(nrefs);
