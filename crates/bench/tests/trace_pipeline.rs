@@ -79,11 +79,16 @@ fn engine_histograms_cover_every_scheme_job() {
         .expect("runs succeed");
     let _ = std::fs::remove_dir_all(&dir);
     let metrics = telemetry.metrics().expect("enabled handle has metrics");
-    let summary = metrics.summary();
-    assert!(summary.contains("engine.job_wall_ms"), "{summary}");
-    assert!(summary.contains("engine.queue_wait_ms"), "{summary}");
-    // 2 presets x 3 schemes = 6 jobs, one histogram sample each.
-    assert!(summary.contains("n=6"), "{summary}");
+    let snapshot = metrics.snapshot();
+    // One job per preset (its three schemes share one step stream), so
+    // 2 presets = 2 jobs, one histogram sample each.
+    for name in ["engine.job_wall_ms", "engine.queue_wait_ms"] {
+        let hist = snapshot
+            .histograms
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} missing:\n{}", metrics.summary()));
+        assert_eq!(hist.count, PRESETS.len() as u64, "{name}");
+    }
 }
 
 #[test]
