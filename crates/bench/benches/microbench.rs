@@ -8,8 +8,8 @@ use ace_core::{
 use ace_energy::EnergyModel;
 use ace_phase::{BbvConfig, BbvDetector, WorkingSetConfig, WorkingSetDetector};
 use ace_sim::{
-    Block, BranchEvent, BranchPredictor, Cache, CacheGeometry, CuKind, Machine, MachineConfig,
-    MemAccess, SizeLevel, Tlb,
+    Block, BranchEvent, BranchPredictor, Cache, CacheGeometry, CuKind, FrontRecord, Machine,
+    MachineConfig, MemAccess, SizeLevel, Tlb,
 };
 use ace_workloads::{preset, Executor};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
@@ -136,6 +136,17 @@ fn bench_machine(c: &mut Criterion) {
     group.bench_function("exec_block", |b| {
         let mut m = Machine::new(MachineConfig::table2()).unwrap();
         b.iter(|| m.exec_block(black_box(&block)))
+    });
+    group.bench_function("replay_block", |b| {
+        // A follower on a shared stream: the same block's L1D/L2 back end,
+        // its warm front end (L1I, DTLB, predictor) recorded once by a
+        // leader.
+        let mut leader = Machine::new(MachineConfig::table2()).unwrap();
+        let mut front = FrontRecord::default();
+        leader.exec_block(&block);
+        leader.exec_block_recording(&block, &mut front);
+        let mut m = Machine::new(MachineConfig::table2()).unwrap();
+        b.iter(|| m.replay_block(black_box(&block), black_box(&front)))
     });
     group.bench_function("exec_block_hit_dominated", |b| {
         // A realistic ~14-reference block whose working set is resident:

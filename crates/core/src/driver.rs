@@ -12,11 +12,18 @@
 //! to a list of consumers, each with its own machine, DO system, manager
 //! and telemetry handle. A single run is one consumer; comparing schemes
 //! on one workload runs them all off one step stream.
+//!
+//! With two or more consumers the machines also share the block's front
+//! end (L1I, branch predictor, DTLB), whose units no scheme resizes:
+//! consumer 0 runs [`Machine::exec_block_recording`] and the others
+//! [`Machine::replay_block`] the record. A configurable DTLB is part of
+//! each consumer's own state, so with one every consumer runs
+//! [`Machine::exec_block`].
 
 use crate::manager::AceManager;
 use ace_energy::{EnergyBreakdown, EnergyModel};
 use ace_runtime::{DoConfig, DoStats, DoSystem, Table4Row};
-use ace_sim::{Block, ConfigError, Machine, MachineConfig, MachineCounters};
+use ace_sim::{Block, ConfigError, CuId, FrontRecord, Machine, MachineConfig, MachineCounters};
 use ace_telemetry::Telemetry;
 use ace_workloads::{Executor, MethodId, MtStep, Program, Step, ThreadId, ThreadedExecutor};
 use serde::{Deserialize, Serialize};
@@ -327,12 +334,24 @@ fn drive<S: StepSource, M: AceManager + ?Sized>(
         .map(|c| c.telemetry.metrics().map(|m| m.timer("run_wall_ms")))
         .collect();
     let mut buf = Block::with_capacity(64);
+    // A configurable DTLB can differ per consumer (see the module docs).
+    let share_front = states.len() > 1 && !states[0].machine.registry().contains(CuId::Dtlb);
+    let mut front = FrontRecord::default();
 
     for c in &mut states {
         c.manager.on_start(&mut c.machine);
     }
     loop {
         match source.next(&mut buf) {
+            MtStep::Block(_) if share_front => {
+                let (leader, followers) = states.split_first_mut().expect("two or more consumers");
+                leader.machine.exec_block_recording(&buf, &mut front);
+                leader.manager.on_block(&buf, &mut leader.machine);
+                for c in followers {
+                    c.machine.replay_block(&buf, &front);
+                    c.manager.on_block(&buf, &mut c.machine);
+                }
+            }
             MtStep::Block(_) => {
                 for c in &mut states {
                     c.machine.exec_block(&buf);

@@ -702,6 +702,46 @@ mod tests {
         }
     }
 
+    /// With the DTLB a configurable unit the consumers' front ends can
+    /// differ, so a shared run must not replay one consumer's front in
+    /// another: a DTLB-pinning leader and two tuning followers each equal
+    /// their solo run.
+    #[test]
+    fn dtlb_cu_shared_run_equals_solo_runs() {
+        use ace_sim::{CuId, SizeLevel};
+        let mut machine = MachineConfig::table2();
+        machine.dtlb_configurable = true;
+        let pinned = AceConfig::baseline().with(CuId::Dtlb, SizeLevel::new(2).unwrap());
+        let specs: Vec<SchemeSpec> = [
+            Scheme::Fixed(pinned).into(),
+            SchemeSpec::named("baseline"),
+            SchemeSpec::named("hotspot"),
+        ]
+        .into();
+        let experiment = || {
+            Experiment::preset("db")
+                .machine(machine.clone())
+                .instruction_limit(3_000_000)
+        };
+        let consumers = specs.iter().map(|s| Consumer::scheme(s.clone())).collect();
+        let shared = experiment().run_shared(consumers).unwrap();
+        for (spec, run) in specs.iter().zip(&shared) {
+            let solo = experiment().scheme(spec.clone()).run_scheme().unwrap();
+            assert_eq!(solo.record.counters, run.record.counters, "{}", solo.scheme);
+            assert_eq!(
+                serde_json::to_string(&solo.record).unwrap(),
+                serde_json::to_string(&run.record).unwrap(),
+                "{}",
+                solo.scheme
+            );
+            assert_eq!(solo.report, run.report, "{}", solo.scheme);
+        }
+        assert_ne!(
+            shared[0].record.counters.dtlb, shared[1].record.counters.dtlb,
+            "the pinned DTLB misses differently"
+        );
+    }
+
     #[test]
     fn no_consumers_runs_nothing() {
         let telemetry = Telemetry::counting();

@@ -104,6 +104,15 @@ impl BranchPredictor {
         &self.stats
     }
 
+    /// Counts one branch whose prediction was decided elsewhere: a machine
+    /// replaying a recorded front end adds the recorded outcome without
+    /// touching its tables (see `Machine::replay_block`).
+    #[inline]
+    pub(crate) fn count(&mut self, mispredict: bool) {
+        self.stats.branches += 1;
+        self.stats.mispredicts += mispredict as u64;
+    }
+
     /// Predicts the branch at `pc`, updates all tables with the actual
     /// `taken` outcome, and returns whether the prediction was **correct**.
     pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {

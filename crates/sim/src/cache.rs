@@ -301,6 +301,15 @@ impl Cache {
         self.stats.stores[self.lvl] += stores;
     }
 
+    /// Counts one load whose hit or miss was decided elsewhere: a machine
+    /// replaying a recorded front end adds the recorded L1I outcome
+    /// without probing (see `Machine::replay_block`).
+    #[inline]
+    pub(crate) fn count_access(&mut self, hit: bool) {
+        self.stats.accesses[self.lvl] += 1;
+        self.stats.misses[self.lvl] += !hit as u64;
+    }
+
     /// Marks the memoized MRU line dirty if `is_store`. Sound only when
     /// the caller has just accessed that line (so it is resident and MRU);
     /// the block loop uses this for consecutive same-line references,

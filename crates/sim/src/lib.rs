@@ -56,7 +56,7 @@ pub use branch::{BranchPredictor, BranchStats};
 pub use cache::{AccessOutcome, Cache, CacheStats, FlushReport};
 pub use config::{CacheGeometry, ConfigError, MachineConfig, SizeLevel, NUM_SIZE_LEVELS};
 pub use cu::{CuDescriptor, CuId, CuKind, CuRegistry, FlushSemantics, MAX_CUS};
-pub use machine::{Machine, MachineCounters, ReconfigOutcome};
+pub use machine::{FrontRecord, Machine, MachineCounters, ReconfigOutcome};
 pub use stats::OnlineStats;
 pub use tlb::{Tlb, TlbStats};
 pub use trace::{Block, BlockSource, BranchEvent, MemAccess, SliceSource};

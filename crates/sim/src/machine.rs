@@ -197,6 +197,85 @@ impl RefCursor {
     }
 }
 
+/// The stream-only outcome of one block: everything [`Machine::exec_block`]
+/// decides with the units no configuration ever resizes — the L1I probe,
+/// the DTLB translations, the branch prediction — plus the same-line
+/// compression of the reference list.
+///
+/// Consumers of one step stream that share a [`MachineConfig`] without a
+/// configurable DTLB compute the same front for every block. One of them
+/// (the leader) runs [`Machine::exec_block_recording`] to fill the record;
+/// the others call [`Machine::replay_block`], which runs only the
+/// per-consumer back end (the L2 fill of an L1I miss, the L1D/L2 probes,
+/// retire) and ends with the same counters as [`Machine::exec_block`].
+/// The record is meant to be reused: recording clears it first.
+#[derive(Debug, Clone, Default)]
+pub struct FrontRecord {
+    fetch_hit: bool,
+    dtlb_misses: u64,
+    mispredict: bool,
+    nstores: u64,
+    /// One entry per run of consecutive same-line references.
+    lines: Vec<LineRef>,
+}
+
+/// The first reference of a run of same-line references, and whether any
+/// later reference of the run is a store (it only sets the dirty bit).
+#[derive(Debug, Clone, Copy)]
+struct LineRef {
+    addr: u64,
+    is_store: bool,
+    later_store: bool,
+}
+
+/// Where [`Machine::exec_block`] reports its front-end outcomes: `()`
+/// drops them, [`FrontRecord`] keeps them for replay.
+trait FrontSink {
+    fn fetch(&mut self, hit: bool);
+    fn line(&mut self, addr: u64, is_store: bool, translated: bool);
+    fn same_line(&mut self, is_store: bool);
+    fn retire(&mut self, nstores: u64, mispredict: bool);
+}
+
+impl FrontSink for () {
+    #[inline(always)]
+    fn fetch(&mut self, _: bool) {}
+    #[inline(always)]
+    fn line(&mut self, _: u64, _: bool, _: bool) {}
+    #[inline(always)]
+    fn same_line(&mut self, _: bool) {}
+    #[inline(always)]
+    fn retire(&mut self, _: u64, _: bool) {}
+}
+
+impl FrontSink for FrontRecord {
+    #[inline(always)]
+    fn fetch(&mut self, hit: bool) {
+        self.fetch_hit = hit;
+    }
+    #[inline(always)]
+    fn line(&mut self, addr: u64, is_store: bool, translated: bool) {
+        self.dtlb_misses += !translated as u64;
+        self.lines.push(LineRef {
+            addr,
+            is_store,
+            later_store: false,
+        });
+    }
+    #[inline(always)]
+    fn same_line(&mut self, is_store: bool) {
+        // A block's first reference always opens a run, so a run exists.
+        if let Some(last) = self.lines.last_mut() {
+            last.later_store |= is_store;
+        }
+    }
+    #[inline(always)]
+    fn retire(&mut self, nstores: u64, mispredict: bool) {
+        self.nstores = nstores;
+        self.mispredict = mispredict;
+    }
+}
+
 /// The simulated machine.
 ///
 /// # Examples
@@ -343,26 +422,92 @@ impl Machine {
     /// out of the per-access loop; reconfiguration can only happen between
     /// blocks, so they are loop-invariant.
     ///
-    /// The body is assembled from three pieces: `fetch_stalls`, one
-    /// `data_ref` per reference, and `retire_block`.
+    /// The body is assembled from `fetch_stalls`, one `data_ref` per
+    /// reference, the branch prediction, and `retire_block`.
     pub fn exec_block(&mut self, block: &Block) {
-        let mut stalls = self.fetch_stalls(block.pc);
+        self.exec_with(block, &mut ());
+    }
+
+    /// [`Machine::exec_block`] that also writes the block's front-end
+    /// outcome into `front` (cleared first), for followers to
+    /// [`Machine::replay_block`].
+    pub fn exec_block_recording(&mut self, block: &Block, front: &mut FrontRecord) {
+        front.dtlb_misses = 0;
+        front.lines.clear();
+        self.exec_with(block, front);
+    }
+
+    /// Executes `block` given its front-end outcome recorded by a machine
+    /// of the same configuration: the L1I, DTLB and predictor are not
+    /// probed (their recorded outcomes are added to this machine's
+    /// statistics instead), everything the L1D, L2 and window decide is
+    /// computed here. The counters end exactly as after
+    /// [`Machine::exec_block`], provided this machine has only ever
+    /// replayed blocks recorded by a machine fed the same blocks, and its
+    /// DTLB is not a configurable unit (a DTLB resize would change the
+    /// front).
+    pub fn replay_block(&mut self, block: &Block, front: &FrontRecord) {
+        self.l1i.count_access(front.fetch_hit);
+        let mut stalls = if front.fetch_hit {
+            0
+        } else {
+            self.l1i_fill(block.pc)
+        };
+        let consts = self.ref_consts();
+        stalls += consts.tlb_penalty * front.dtlb_misses;
+        self.dtlb.count_misses(front.dtlb_misses);
+        let mut cursor = RefCursor::new();
+        cursor.nstores = front.nstores;
+        for r in &front.lines {
+            self.l1d_ref(&consts, r.addr, r.is_store, &mut cursor);
+            self.l1d.mru_mark_dirty(r.later_store);
+        }
+        if block.branch.is_some() {
+            self.predictor.count(front.mispredict);
+        }
+        self.retire_block(block, stalls, &cursor, front.mispredict);
+    }
+
+    /// The one block body behind [`Machine::exec_block`] (`sink` = `()`)
+    /// and [`Machine::exec_block_recording`].
+    #[inline(always)]
+    fn exec_with<R: FrontSink>(&mut self, block: &Block, sink: &mut R) {
+        let mut stalls = self.fetch_stalls(block.pc, sink);
         let consts = self.ref_consts();
         let mut cursor = RefCursor::new();
         for acc in &block.accesses {
-            self.data_ref(&consts, acc.addr, acc.is_store, &mut stalls, &mut cursor);
+            self.data_ref(
+                &consts,
+                acc.addr,
+                acc.is_store,
+                &mut stalls,
+                &mut cursor,
+                sink,
+            );
         }
-        self.retire_block(block, stalls, &cursor);
+        let mispredict = match block.branch {
+            Some(br) => !self.predictor.predict_and_update(br.pc, br.taken),
+            None => false,
+        };
+        sink.retire(cursor.nstores, mispredict);
+        self.retire_block(block, stalls, &cursor, mispredict);
     }
 
     /// Instruction fetch: one L1I probe per block. Returns the fetch
     /// stall cycles (zero on an L1I hit).
-    #[inline]
-    fn fetch_stalls(&mut self, pc: u64) -> u64 {
-        let i_out = self.l1i.access(pc, false);
-        if i_out.hit {
+    #[inline(always)]
+    fn fetch_stalls<R: FrontSink>(&mut self, pc: u64, sink: &mut R) -> u64 {
+        let hit = self.l1i.access(pc, false).hit;
+        sink.fetch(hit);
+        if hit {
             return 0;
         }
+        self.l1i_fill(pc)
+    }
+
+    /// The back half of an L1I miss: the L2 fill and its stall cycles.
+    #[inline(always)]
+    fn l1i_fill(&mut self, pc: u64) -> u64 {
         let l2_out = self.l2.access(pc, false);
         let mut stalls = self.cfg.l2.hit_latency as u64;
         if !l2_out.hit {
@@ -374,7 +519,7 @@ impl Machine {
     /// Hoists the per-reference penalty constants — they depend only on
     /// the configuration, and reconfiguration can only happen between
     /// blocks, so they are loop-invariant for any block.
-    #[inline]
+    #[inline(always)]
     fn ref_consts(&self) -> RefConsts {
         RefConsts {
             tlb_penalty: self.cfg.tlb_miss_penalty as u64,
@@ -397,24 +542,34 @@ impl Machine {
     /// line and page, so a same-line successor is a guaranteed hit whose
     /// probe, promotion, and translation are all the identity, leaving
     /// only the dirty-bit OR.
-    #[inline]
-    fn data_ref(
+    #[inline(always)]
+    fn data_ref<R: FrontSink>(
         &mut self,
         consts: &RefConsts,
         addr: u64,
         is_store: bool,
         stalls: &mut u64,
         cursor: &mut RefCursor,
+        sink: &mut R,
     ) {
         cursor.nstores += is_store as u64;
         let line = addr >> consts.line_shift;
         if line == cursor.prev_line {
             self.l1d.mru_mark_dirty(is_store);
+            sink.same_line(is_store);
             return;
         }
         cursor.prev_line = line;
         let translated = self.dtlb.translate_uncounted(addr);
         *stalls += consts.tlb_penalty * (!translated) as u64;
+        sink.line(addr, is_store, translated);
+        self.l1d_ref(consts, addr, is_store, cursor);
+    }
+
+    /// The L1D probe of a reference that opens a same-line run, with the
+    /// L2 writeback and fill of a miss and its exposed stall.
+    #[inline(always)]
+    fn l1d_ref(&mut self, consts: &RefConsts, addr: u64, is_store: bool, cursor: &mut RefCursor) {
         let out = self.l1d.access_uncounted(addr, is_store);
         if !out.hit {
             if let Some(wb) = out.writeback {
@@ -436,10 +591,16 @@ impl Machine {
     }
 
     /// Retires a block whose data references have all been processed:
-    /// bulk statistics update, window exposure scaling, branch
-    /// resolution, issue bandwidth, and the counter tail.
-    #[inline]
-    fn retire_block(&mut self, block: &Block, mut stalls: u64, cursor: &RefCursor) {
+    /// bulk statistics update, window exposure scaling, the mispredict
+    /// penalty, issue bandwidth, and the counter tail.
+    #[inline(always)]
+    fn retire_block(
+        &mut self,
+        block: &Block,
+        mut stalls: u64,
+        cursor: &RefCursor,
+        mispredict: bool,
+    ) {
         let nrefs = block.accesses.len() as u64;
         self.l1d.bulk_count(nrefs, cursor.nstores);
         self.dtlb.bulk_count(nrefs);
@@ -454,11 +615,8 @@ impl Machine {
         stalls += exposed / 1000;
         self.stall_acc = exposed % 1000;
 
-        // Branch resolution.
-        if let Some(br) = block.branch {
-            if !self.predictor.predict_and_update(br.pc, br.taken) {
-                stalls += self.cfg.mispredict_penalty as u64;
-            }
+        if mispredict {
+            stalls += self.cfg.mispredict_penalty as u64;
         }
 
         // Base issue bandwidth.
@@ -537,8 +695,12 @@ impl Machine {
 
     /// Immediately applies a resize, bypassing the interval guard. Used by
     /// oracle/static experiments; runtime adaptation should go through
-    /// [`Machine::request_resize`].
+    /// [`Machine::request_resize`]. Like that path, a unit that is not
+    /// in the registry ignores the write.
     pub fn apply_resize(&mut self, cu: CuId, level: SizeLevel) -> FlushReport {
+        if !self.registry.contains(cu) {
+            return FlushReport::default();
+        }
         match cu {
             CuId::Window => {
                 // Resizing the window drains the pipeline: a short fixed
@@ -910,6 +1072,26 @@ mod tests {
         );
         assert_eq!(m.level(CuId::Dtlb), SizeLevel::LARGEST);
         assert_eq!(m.counters().guard_rejections, 0);
+    }
+
+    #[test]
+    fn unregistered_dtlb_ignores_applied_resizes() {
+        // `apply_resize` skips the guard, not the registry: pinning the
+        // DTLB on the paper's machine changes nothing and charges nothing.
+        let mut m = machine();
+        for p in 0..32u64 {
+            m.exec_block(&block(0x400, 4, vec![MemAccess::load(p * 4096)]));
+        }
+        let before = m.counters().clone();
+        assert_eq!(
+            m.apply_resize(CuId::Dtlb, SizeLevel::SMALLEST),
+            FlushReport::default()
+        );
+        assert_eq!(m.level(CuId::Dtlb), SizeLevel::LARGEST);
+        assert_eq!(m.counters(), &before);
+        // The 32 pages are still resident.
+        m.exec_block(&block(0x400, 4, vec![MemAccess::load(0)]));
+        assert_eq!(m.counters().dtlb.misses, before.dtlb.misses);
     }
 
     #[test]

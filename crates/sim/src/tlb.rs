@@ -206,7 +206,7 @@ impl Tlb {
     /// settles totals only at resize boundaries, which happen between
     /// blocks), so bulk counting leaves every observable statistic
     /// byte-identical. Misses are still counted here.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn translate_uncounted(&mut self, addr: u64) -> bool {
         let page = addr >> self.page_shift;
         debug_assert!(page < 1 << 63, "page number too wide to pack");
@@ -240,8 +240,17 @@ impl Tlb {
         self.stats.accesses += accesses;
     }
 
-    /// Makes way `way` of the set starting at `base` the MRU entry.
+    /// Adds misses decided elsewhere: a machine replaying a recorded front
+    /// end adds the recorded DTLB misses without translating (see
+    /// `Machine::replay_block`). Accesses still come from
+    /// [`Tlb::bulk_count`].
     #[inline]
+    pub(crate) fn count_misses(&mut self, misses: u64) {
+        self.stats.misses += misses;
+    }
+
+    /// Makes way `way` of the set starting at `base` the MRU entry.
+    #[inline(always)]
     fn promote(&mut self, base: usize, way: usize) {
         let r = self.rank[base + way];
         if r != 0 {

@@ -178,11 +178,19 @@ mod tests {
         const PER_WRITER: u64 = 5_000;
         let ring = Arc::new(RingBufferSink::new(32));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // Writers start only once the reader has taken its first snapshot,
+        // so on a loaded host the writes cannot all finish before the
+        // reader is scheduled.
+        let reading = Arc::new(std::sync::atomic::AtomicBool::new(false));
 
         let writer_handles: Vec<_> = (0..WRITERS)
             .map(|t| {
                 let ring = Arc::clone(&ring);
+                let reading = Arc::clone(&reading);
                 std::thread::spawn(move || {
+                    while !reading.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
                     for i in 0..PER_WRITER {
                         ring.record(&marker(t * PER_WRITER + i));
                     }
@@ -193,6 +201,7 @@ mod tests {
         let reader = {
             let ring = Arc::clone(&ring);
             let stop = Arc::clone(&stop);
+            let reading = Arc::clone(&reading);
             std::thread::spawn(move || {
                 let mut snapshots = 0u64;
                 while !stop.load(Ordering::Relaxed) {
@@ -216,6 +225,7 @@ mod tests {
                         }
                     }
                     snapshots += 1;
+                    reading.store(true, Ordering::Release);
                 }
                 snapshots
             })
