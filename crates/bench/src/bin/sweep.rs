@@ -2,7 +2,7 @@
 //! configurations (the static oracle grid). Prints IPC and per-cache
 //! energy for each point.
 
-use ace_core::{AceConfig, Experiment, Scheme};
+use ace_core::{AceConfig, Experiment};
 use ace_sim::SizeLevel;
 
 fn main() {
@@ -15,7 +15,7 @@ fn main() {
         for l2 in 0..4u8 {
             let fixed = AceConfig::both(SizeLevel::new(l1d).unwrap(), SizeLevel::new(l2).unwrap());
             let r = Experiment::preset(name.as_str())
-                .scheme(Scheme::Fixed(fixed))
+                .scheme(fixed)
                 .run()
                 .unwrap();
             println!(

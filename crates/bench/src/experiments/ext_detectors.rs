@@ -11,7 +11,7 @@ use crate::{format_table, BenchResult};
 use ace_core::{BbvAceManager, BbvManagerConfig, Experiment};
 use ace_energy::EnergyModel;
 use ace_phase::{BranchCounterConfig, BranchCounterDetector, WorkingSetConfig, WorkingSetDetector};
-use ace_sim::{Block, BlockSource};
+use ace_sim::Block;
 use ace_workloads::{Executor, PRESET_NAMES};
 
 pub(super) fn run(ctx: &ExpCtx) -> BenchResult<Report> {

@@ -45,8 +45,7 @@ pub use baseline::{
 pub use engine::{default_jobs, run_jobs, BenchError, BenchResult, Job, JobOutcome};
 
 use ace_core::{
-    BbvReport, Consumer, Experiment, HotspotReport, RunConfig, RunRecord, Scheme, SchemeExt,
-    SchemeRun,
+    BbvReport, Consumer, Experiment, HotspotReport, RunConfig, RunRecord, SchemeExt, SchemeRun,
 };
 use ace_telemetry::Telemetry;
 use ace_workloads::PRESET_NAMES;
@@ -103,8 +102,8 @@ impl SchemeResults {
     }
 }
 
-/// The schemes [`ExperimentSet`] runs, in run order.
-pub const HEADLINE_SCHEMES: [Scheme; 3] = [Scheme::Baseline, Scheme::Bbv, Scheme::Hotspot];
+/// The scheme ids [`ExperimentSet`] runs, in run order.
+pub const HEADLINE_SCHEMES: [&str; 3] = ["baseline", "bbv", "hotspot"];
 
 /// One workload's results plus how they were obtained — the unit of the
 /// perf-baseline pipeline (`run_all --bench-out`).
@@ -119,15 +118,14 @@ pub struct WorkloadOutcome {
     pub cached: bool,
 }
 
-/// Builder running a set of preset workloads under the three headline
-/// schemes on the parallel [`engine`], with content-addressed caching.
+/// Builder running a set of preset workloads under the three
+/// [`HEADLINE_SCHEMES`] on the parallel [`engine`], with content-addressed
+/// caching.
 ///
 /// ```no_run
-/// use ace_bench::{ExperimentSet, HEADLINE_SCHEMES};
+/// use ace_bench::ExperimentSet;
 ///
-/// let results = ExperimentSet::all_presets()
-///     .schemes(&HEADLINE_SCHEMES)
-///     .run_parallel(4)?;
+/// let results = ExperimentSet::all_presets().run_parallel(4)?;
 /// for r in &results {
 ///     println!("{}: {:.1}% L1D saved", r.workload, r.hotspot_l1d_saving_pct());
 /// }
@@ -136,7 +134,6 @@ pub struct WorkloadOutcome {
 #[derive(Clone)]
 pub struct ExperimentSet {
     presets: Vec<String>,
-    schemes: Vec<Scheme>,
     base: RunConfig,
     fresh: bool,
     telemetry: Telemetry,
@@ -158,21 +155,11 @@ impl ExperimentSet {
     {
         ExperimentSet {
             presets: names.into_iter().map(Into::into).collect(),
-            schemes: HEADLINE_SCHEMES.to_vec(),
             base: RunConfig::default(),
             fresh: false,
             telemetry: Telemetry::off(),
             results_dir: None,
         }
-    }
-
-    /// Selects the schemes to run. [`SchemeResults`] records exactly the
-    /// baseline/BBV/hotspot trio, so the set must equal
-    /// [`HEADLINE_SCHEMES`] (any order) — anything else is rejected at
-    /// [`ExperimentSet::run_parallel`] time.
-    pub fn schemes(mut self, schemes: &[Scheme]) -> ExperimentSet {
-        self.schemes = schemes.to_vec();
-        self
     }
 
     /// Base [`RunConfig`] shared by every run (default
@@ -221,9 +208,8 @@ impl ExperimentSet {
     ///
     /// # Errors
     ///
-    /// Fails on unknown preset names, a scheme set other than
-    /// [`HEADLINE_SCHEMES`], or when any run fails; every job still runs,
-    /// and the error aggregates all failures.
+    /// Fails on unknown preset names or when any run fails; every job
+    /// still runs, and the error aggregates all failures.
     pub fn run_parallel(self, jobs: usize) -> BenchResult<Vec<SchemeResults>> {
         Ok(self
             .run_detailed(jobs)?
@@ -241,19 +227,6 @@ impl ExperimentSet {
     ///
     /// See [`ExperimentSet::run_parallel`].
     pub fn run_detailed(self, jobs: usize) -> BenchResult<Vec<WorkloadOutcome>> {
-        {
-            let mut want: Vec<&str> = HEADLINE_SCHEMES.iter().map(|s| s.name()).collect();
-            let mut got: Vec<&str> = self.schemes.iter().map(|s| s.name()).collect();
-            want.sort_unstable();
-            got.sort_unstable();
-            if got != want {
-                return Err(BenchError::msg(format!(
-                    "ExperimentSet runs exactly the baseline/bbv/hotspot trio \
-                     (SchemeResults records those three runs); got {got:?}"
-                )));
-            }
-        }
-
         let dir = self.results_dir.clone().unwrap_or_else(results_dir);
 
         // Phase 1: resolve caches; one job per miss, in preset order.
@@ -348,7 +321,7 @@ fn run_headline(name: &str, base: &RunConfig, tel: &Telemetry) -> BenchResult<Ve
     let consumers = HEADLINE_SCHEMES
         .iter()
         .zip(&children)
-        .map(|(scheme, (child, _))| Consumer::scheme(*scheme).telemetry(child))
+        .map(|(&scheme, (child, _))| Consumer::scheme(scheme).telemetry(child))
         .collect();
     let runs = Experiment::preset(name)
         .config(base.clone())
@@ -654,21 +627,6 @@ mod tests {
             ..RunConfig::default()
         };
         assert_eq!(key, cache_key("db", &traced));
-    }
-
-    #[test]
-    fn scheme_set_must_be_the_headline_trio() {
-        let err = ExperimentSet::presets(["db"])
-            .schemes(&[Scheme::Baseline, Scheme::Positional, Scheme::Hotspot])
-            .run_parallel(1)
-            .unwrap_err();
-        assert!(err.to_string().contains("trio"), "{err}");
-        // Order does not matter, membership does.
-        let reordered = [Scheme::Hotspot, Scheme::Baseline, Scheme::Bbv];
-        assert!(ExperimentSet::presets(Vec::<String>::new())
-            .schemes(&reordered)
-            .run_parallel(1)
-            .is_ok());
     }
 
     #[test]

@@ -201,7 +201,7 @@ impl BbvAceManager {
                     if predicted == outcome.phase {
                         let tuner = &mut self.tuners[predicted.0 as usize];
                         if !tuner.is_done() {
-                            tuner.record_traced(
+                            tuner.record_and_emit(
                                 m,
                                 &self.tel,
                                 Scope::Phase { phase: predicted.0 },

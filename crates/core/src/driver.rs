@@ -112,61 +112,6 @@ fn saving(ours: f64, base: f64) -> f64 {
     }
 }
 
-/// Runs `program` under `manager`.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if the machine configuration is invalid.
-///
-/// # Examples
-///
-/// ```
-/// use ace_core::{Experiment, NullManager};
-/// let record = Experiment::preset("db")
-///     .instruction_limit(1_000_000)
-///     .run_with(&mut NullManager)?;
-/// assert!(record.instret >= 1_000_000);
-/// assert!(record.ipc > 0.0);
-/// # Ok::<(), ace_core::ExperimentError>(())
-/// ```
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Experiment::preset(..).run()` / `.run_with(&mut mgr)` instead"
-)]
-pub fn run_with_manager<M: AceManager>(
-    program: &Program,
-    cfg: &RunConfig,
-    manager: &mut M,
-) -> Result<RunRecord, ConfigError> {
-    run_one(program, cfg, None, manager)
-}
-
-/// Runs a multithreaded program: `entries` are the per-thread entry
-/// methods (disjoint method subtrees), time-multiplexed in `quantum_instr`
-/// slices over the one simulated core — the Dynamic SimpleScalar threading
-/// model, used by the dual-threaded mtrt experiment.
-///
-/// # Errors
-///
-/// Returns [`ConfigError`] if the machine configuration is invalid.
-///
-/// # Panics
-///
-/// Panics if `entries` is empty.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Experiment::program(p).threaded(entries, quantum)` instead"
-)]
-pub fn run_threaded<M: AceManager>(
-    program: &Program,
-    entries: &[MethodId],
-    quantum_instr: u64,
-    cfg: &RunConfig,
-    manager: &mut M,
-) -> Result<RunRecord, ConfigError> {
-    run_one(program, cfg, Some((entries, quantum_instr)), manager)
-}
-
 /// One run: the single-consumer case of [`run_stream`], tracing into
 /// `cfg.telemetry`.
 pub(crate) fn run_one<M: AceManager + ?Sized>(

@@ -1,12 +1,11 @@
 //! The typed run façade: [`Experiment`] builds and executes one measured
-//! run, replacing the old free-function surface (`run_with_manager`,
-//! `run_threaded`).
+//! run.
 //!
 //! An experiment names a workload (a preset or an owned [`Program`]),
-//! picks a scheme (a registered id, a legacy [`Scheme`] value, or an
-//! owned [`crate::TuningScheme`] instance via
-//! [`SchemeSpec`](crate::SchemeSpec)), and layers run options on top of
-//! [`RunConfig::default`]:
+//! picks a scheme (a registered id, a fixed
+//! [`AceConfig`](crate::AceConfig), or an owned [`crate::TuningScheme`]
+//! instance via [`SchemeSpec`](crate::SchemeSpec)), and layers run
+//! options on top of [`RunConfig::default`]:
 //!
 //! ```
 //! use ace_core::Experiment;
@@ -27,81 +26,14 @@
 //! [`AceManager`] for ablations that perturb a manager's configuration.
 
 use crate::driver::{run_one, run_stream, RunConfig, RunRecord};
-use crate::scheme::{
-    FixedScheme, SchemeCtx, SchemeManager, SchemeRegistry, SchemeReport, SchemeSpec,
-};
-use crate::{AceConfig, AceManager};
+use crate::scheme::{SchemeCtx, SchemeManager, SchemeRegistry, SchemeReport, SchemeSpec};
+use crate::AceManager;
 use ace_energy::EnergyModel;
 use ace_runtime::DoConfig;
 use ace_sim::{ConfigError, MachineConfig};
 use ace_telemetry::Telemetry;
 use ace_workloads::{MethodId, Program};
 use std::fmt;
-use std::sync::Arc;
-
-/// The built-in management schemes, kept as thin compat constructors over
-/// the scheme registry (see [`crate::SchemeRegistry`]). New schemes
-/// register through the registry instead of extending this enum.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[non_exhaustive]
-pub enum Scheme {
-    /// Non-adaptive baseline: both caches pinned at their largest sizes.
-    Baseline,
-    /// The paper's DO-based hotspot scheme with CU decoupling.
-    Hotspot,
-    /// The temporal baseline: BBV phases + tune-all-combinations.
-    Bbv,
-    /// Huang et al.'s positional scheme (large-procedure boundaries).
-    Positional,
-    /// Phase Distance Mapping: hotspot substrate + behavioral-distance
-    /// prediction against already-tuned phases.
-    Pdm,
-    /// A fixed configuration installed at start (static-oracle points).
-    Fixed(AceConfig),
-}
-
-impl Scheme {
-    /// Stable lowercase name, used for job keys and CLI flags.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Scheme::Baseline => "baseline",
-            Scheme::Hotspot => "hotspot",
-            Scheme::Bbv => "bbv",
-            Scheme::Positional => "positional",
-            Scheme::Pdm => "pdm",
-            Scheme::Fixed(_) => "fixed",
-        }
-    }
-
-    /// Parses a scheme name back to its variant. `"fixed"` is not
-    /// parseable (a fixed scheme is meaningless without its
-    /// [`AceConfig`]).
-    pub fn from_name(name: &str) -> Option<Scheme> {
-        match name {
-            "baseline" => Some(Scheme::Baseline),
-            "hotspot" => Some(Scheme::Hotspot),
-            "bbv" => Some(Scheme::Bbv),
-            "positional" => Some(Scheme::Positional),
-            "pdm" => Some(Scheme::Pdm),
-            _ => None,
-        }
-    }
-}
-
-impl fmt::Display for Scheme {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl From<Scheme> for SchemeSpec {
-    fn from(scheme: Scheme) -> SchemeSpec {
-        match scheme {
-            Scheme::Fixed(config) => SchemeSpec::instance(Arc::new(FixedScheme(config))),
-            named => SchemeSpec::named(named.name()),
-        }
-    }
-}
 
 /// One completed scheme run: the measured record plus the manager report.
 #[derive(Debug, Clone)]
@@ -205,7 +137,7 @@ impl Experiment {
         let model = EnergyModel::default_180nm();
         Experiment {
             source,
-            scheme: Scheme::Baseline.into(),
+            scheme: SchemeSpec::named("baseline"),
             registry: SchemeRegistry::builtin(),
             cfg: RunConfig {
                 energy: model,
@@ -217,7 +149,7 @@ impl Experiment {
     }
 
     /// Selects the management scheme (default baseline): a registered id
-    /// (`"hotspot"`), a legacy [`Scheme`] value, or a
+    /// (`"hotspot"`), a fixed [`AceConfig`](crate::AceConfig), or a
     /// [`SchemeSpec`](crate::SchemeSpec) carrying an owned instance.
     pub fn scheme(mut self, scheme: impl Into<SchemeSpec>) -> Experiment {
         self.scheme = scheme.into();
@@ -459,9 +391,9 @@ enum ConsumerManager<'m> {
 }
 
 impl<'m> Consumer<'m> {
-    /// A consumer running `scheme` (a registered id, a legacy [`Scheme`]
-    /// value, or a [`SchemeSpec`]), built against the experiment's
-    /// registry and energy model.
+    /// A consumer running `scheme` (a registered id, a fixed
+    /// [`AceConfig`](crate::AceConfig), or a [`SchemeSpec`]), built
+    /// against the experiment's registry and energy model.
     pub fn scheme(scheme: impl Into<SchemeSpec>) -> Consumer<'m> {
         Consumer {
             manager: ConsumerManager::Spec(scheme.into()),
@@ -507,7 +439,7 @@ impl Held<'_> {
 mod tests {
     use super::*;
     use crate::scheme::SchemeExt;
-    use crate::NullManager;
+    use crate::{AceConfig, NullManager};
 
     #[test]
     fn builder_runs_a_preset() {
@@ -580,7 +512,7 @@ mod tests {
     #[test]
     fn scheme_runs_carry_reports() {
         let run = Experiment::preset("db")
-            .scheme(Scheme::Hotspot)
+            .scheme("hotspot")
             .instruction_limit(2_000_000)
             .run_scheme()
             .unwrap();
@@ -601,7 +533,7 @@ mod tests {
         // The unified report fills guard_rejections from the machine
         // counters for *every* scheme; before the redesign only the
         // hotspot arm did, so BBV reported 0 with a nonzero counter.
-        for scheme in [Scheme::Baseline, Scheme::Hotspot, Scheme::Bbv, Scheme::Pdm] {
+        for scheme in ["baseline", "hotspot", "bbv", "pdm"] {
             let run = Experiment::preset("javac")
                 .scheme(scheme)
                 .instruction_limit(4_000_000)
@@ -654,7 +586,7 @@ mod tests {
         let specs: Vec<SchemeSpec> = SchemeRegistry::builtin()
             .names()
             .map(SchemeSpec::named)
-            .chain([Scheme::Fixed(fixed).into()])
+            .chain([fixed.into()])
             .collect();
         let (mt, entries) = ace_workloads::mtrt_threaded();
         let experiment = |label: &str| match label {
@@ -713,7 +645,7 @@ mod tests {
         machine.dtlb_configurable = true;
         let pinned = AceConfig::baseline().with(CuId::Dtlb, SizeLevel::new(2).unwrap());
         let specs: Vec<SchemeSpec> = [
-            Scheme::Fixed(pinned).into(),
+            pinned.into(),
             SchemeSpec::named("baseline"),
             SchemeSpec::named("hotspot"),
         ]

@@ -330,7 +330,9 @@ impl PdmAceManager {
         match state.pending {
             Pending::Trial => {
                 let first_trial = state.tuner.trials() == 0;
-                state.tuner.record_traced(m, &tel, scope, machine.instret());
+                state
+                    .tuner
+                    .record_and_emit(m, &tel, scope, machine.instret());
                 tunings = 1;
                 if state.tuner.is_done() {
                     state.tuned_ipc = state.tuner.best_measurement().map(|bm| bm.ipc);

@@ -232,7 +232,7 @@ impl AceManager for PositionalAceManager {
             state.covered_instr += m.instr;
         }
         if state.pending == Pending::Trial && !state.tuner.is_done() {
-            state.tuner.record_traced(
+            state.tuner.record_and_emit(
                 m,
                 &self.tel,
                 Scope::Procedure { method: method.0 },

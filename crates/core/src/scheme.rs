@@ -10,8 +10,8 @@
 //!
 //! [`Experiment::scheme`](crate::Experiment::scheme) accepts anything
 //! convertible into a [`SchemeSpec`]: a registered id (`"hotspot"`,
-//! `"pdm"`, ...), a legacy [`Scheme`](crate::Scheme) enum value, or an
-//! owned scheme instance for one-off configurations:
+//! `"pdm"`, ...), a fixed [`AceConfig`] (a [`FixedScheme`]), or an owned
+//! scheme instance for one-off configurations:
 //!
 //! ```
 //! use ace_core::{Experiment, HotspotManagerConfig, HotspotScheme, SchemeSpec};
@@ -261,6 +261,13 @@ impl From<&str> for SchemeSpec {
 impl From<String> for SchemeSpec {
     fn from(id: String) -> SchemeSpec {
         SchemeSpec::named(id)
+    }
+}
+
+/// A fixed configuration names the [`FixedScheme`] installing it.
+impl From<AceConfig> for SchemeSpec {
+    fn from(config: AceConfig) -> SchemeSpec {
+        SchemeSpec::instance(Arc::new(FixedScheme(config)))
     }
 }
 

@@ -137,7 +137,7 @@ impl ConfigTuner {
     ///
     /// Panics if called after tuning finished (same as
     /// [`ConfigTuner::record`]).
-    pub fn record_traced(&mut self, m: Measurement, tel: &Telemetry, scope: Scope, instret: u64) {
+    pub fn record_and_emit(&mut self, m: Measurement, tel: &Telemetry, scope: Scope, instret: u64) {
         let trial = self.next_idx as u32;
         self.record(m);
         tel.emit(|| Event::TuningStep {

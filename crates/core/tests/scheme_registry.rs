@@ -1,45 +1,36 @@
-//! Properties of the scheme-naming layer: `Scheme` parse ↔ `Display`
-//! round-trips, registry ids agree with the compat enum, and arbitrary
-//! strings never alias a registered scheme.
+//! Properties of the scheme-naming layer: the builtin registry holds
+//! exactly the five scheme ids, a named [`SchemeSpec`] round-trips its id
+//! and resolves to the scheme of that name, and arbitrary strings never
+//! alias a registered scheme.
 
-use ace_core::{Scheme, SchemeRegistry, SchemeSpec};
+use ace_core::{SchemeRegistry, SchemeSpec};
 use proptest::prelude::*;
 
-/// Every parseable scheme variant (the `Fixed` variant carries a config
-/// and is deliberately not parseable).
-const NAMED: [Scheme; 5] = [
-    Scheme::Baseline,
-    Scheme::Hotspot,
-    Scheme::Bbv,
-    Scheme::Positional,
-    Scheme::Pdm,
-];
+/// The builtin registry's scheme ids, in registration order.
+const NAMED: [&str; 5] = ["baseline", "hotspot", "bbv", "positional", "pdm"];
 
 #[test]
 fn every_named_scheme_round_trips_and_resolves() {
     let registry = SchemeRegistry::builtin();
-    for scheme in NAMED {
-        // name ↔ from_name round-trip, and Display agrees with name().
-        assert_eq!(Scheme::from_name(scheme.name()), Some(scheme));
-        assert_eq!(scheme.to_string(), scheme.name());
+    assert_eq!(registry.names().collect::<Vec<_>>(), NAMED);
 
-        // The enum's names are exactly the registry's builtin ids.
+    for name in NAMED {
         let resolved = registry
-            .get(scheme.name())
-            .unwrap_or_else(|| panic!("{} not registered", scheme.name()));
-        assert_eq!(resolved.name(), scheme.name());
+            .get(name)
+            .unwrap_or_else(|| panic!("{name} not registered"));
+        assert_eq!(resolved.name(), name);
 
-        // The compat From<Scheme> conversion produces a spec with the
-        // same id that resolves against the builtin registry.
-        let spec: SchemeSpec = scheme.into();
-        assert_eq!(spec.id(), scheme.name());
-        assert_eq!(spec.resolve(&registry).unwrap().name(), scheme.name());
+        // A named spec carries the id and resolves against the builtin
+        // registry to the scheme of that name.
+        let spec = SchemeSpec::from(name);
+        assert_eq!(spec.id(), name);
+        assert_eq!(spec.resolve(&registry).unwrap().name(), name);
     }
 }
 
 /// Candidate scheme ids: half the cases draw a genuine name (possibly
 /// mutated by one appended letter), the rest a random lowercase string —
-/// so the property exercises both the parseable and unparseable sides.
+/// so the properties exercise both the registered and unregistered sides.
 fn arb_name() -> impl Strategy<Value = String> {
     (
         0u64..10,
@@ -47,8 +38,8 @@ fn arb_name() -> impl Strategy<Value = String> {
         prop::option::of(97u8..123),
     )
         .prop_map(|(pick, bytes, tail)| {
-            if let Some(scheme) = NAMED.get(pick as usize) {
-                let mut name = scheme.name().to_string();
+            if let Some(name) = NAMED.get(pick as usize) {
+                let mut name = name.to_string();
                 if let Some(extra) = tail {
                     name.push(extra as char);
                 }
@@ -62,30 +53,29 @@ fn arb_name() -> impl Strategy<Value = String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Parsing is exact: a string parses iff it is one of the five
-    /// names, and then round-trips through Display.
+    /// Resolution is exact: a named spec resolves iff its id is one of
+    /// the five names, and then to the scheme carrying that id.
     #[test]
     fn parse_is_exact_and_round_trips(name in arb_name()) {
-        match Scheme::from_name(&name) {
+        let registry = SchemeRegistry::builtin();
+        let spec = SchemeSpec::from(name.as_str());
+        prop_assert_eq!(spec.id(), name.clone());
+        match spec.resolve(&registry) {
             Some(scheme) => {
-                prop_assert_eq!(scheme.to_string(), name.clone());
-                prop_assert!(NAMED.contains(&scheme));
+                prop_assert_eq!(scheme.name(), name.as_str());
+                prop_assert!(NAMED.contains(&name.as_str()));
             }
-            None => {
-                prop_assert!(NAMED.iter().all(|s| s.name() != name));
-            }
+            None => prop_assert!(!NAMED.contains(&name.as_str())),
         }
     }
 
-    /// Registry lookup agrees with enum parsing for arbitrary ids: a
-    /// string resolves in the builtin registry iff the enum parses it
-    /// (the registry holds exactly the named variants by default).
+    /// Registry lookup agrees with spec resolution for arbitrary ids.
     #[test]
-    fn builtin_lookup_matches_enum_parse(name in arb_name()) {
+    fn builtin_lookup_matches_spec_resolution(name in arb_name()) {
         let registry = SchemeRegistry::builtin();
         prop_assert_eq!(
             registry.get(&name).is_some(),
-            Scheme::from_name(&name).is_some()
+            SchemeSpec::named(name.clone()).resolve(&registry).is_some()
         );
     }
 }

@@ -246,6 +246,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if store.torn_tail() > 0 {
+        eprintln!(
+            "tuning store {}: truncated a torn final line",
+            store_path.display()
+        );
+    }
     let preloaded = store.len();
 
     // The report cache only describes a run that started from an empty
@@ -398,6 +404,8 @@ fn main() -> ExitCode {
             let m = sampler.metrics();
             m.gauge("fleet.machines_per_sec").set(machines / elapsed);
             m.gauge("fleet.wall_seconds").set(elapsed);
+            m.gauge("fleet.store_torn_tail")
+                .set(store.torn_tail() as f64);
             match std::fs::write(path, m.snapshot().render_prometheus()) {
                 Ok(()) => eprintln!("wrote warm-pass metrics to {path}"),
                 Err(e) => {

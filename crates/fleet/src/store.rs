@@ -7,9 +7,12 @@
 //! * an in-memory map the driver snapshots into a [`WarmStartContext`]
 //!   before every wave (machines only ever see a frozen snapshot), and
 //! * an append-only JSONL log on disk: every applied publication is
-//!   appended as one [`StorePublication`] line, and opening the store
-//!   replays the log through the exact same merge rules — so replay is
-//!   idempotent by construction and a store survives process restarts.
+//!   appended as one [`StorePublication`] line before it is applied, and
+//!   opening the store replays the log through the exact same merge
+//!   rules — so replay is idempotent by construction and a store survives
+//!   process restarts. A crash mid-append leaves a torn final line (no
+//!   newline, does not parse); opening truncates it and counts it in
+//!   [`TuningStore::torn_tail`]. A corrupt line anywhere else is an error.
 //!
 //! Merge rules (applied identically live and during replay):
 //!
@@ -65,6 +68,7 @@ pub struct TuningStore {
     next_stamp: u64,
     evictions: u64,
     stale_dropped: u64,
+    torn_tail: u64,
     log: Option<PathBuf>,
 }
 
@@ -83,17 +87,22 @@ impl TuningStore {
             next_stamp: 0,
             evictions: 0,
             stale_dropped: 0,
+            torn_tail: 0,
             log: None,
         }
     }
 
     /// Opens (or creates) a log-backed store at `path`, replaying any
-    /// existing log through the merge rules.
+    /// existing log through the merge rules. A final line without a
+    /// newline that does not parse is the torn tail of an interrupted
+    /// append: it is truncated from the log and counted in
+    /// [`TuningStore::torn_tail`]. A final line without a newline that
+    /// does parse is applied and given its newline.
     ///
     /// # Errors
     ///
-    /// Fails when the log exists but cannot be read or contains a line
-    /// that does not parse as a [`StorePublication`].
+    /// Fails when the log exists but cannot be read or repaired, or when
+    /// a newline-terminated line does not parse as a [`StorePublication`].
     pub fn open(
         path: impl Into<PathBuf>,
         version: u16,
@@ -101,10 +110,11 @@ impl TuningStore {
     ) -> BenchResult<TuningStore> {
         let path = path.into();
         let mut store = TuningStore::in_memory(version, capacity);
+        let io_err = |e: std::io::Error| BenchError::msg(format!("{}: {e}", path.display()));
         if path.exists() {
-            let data = std::fs::read_to_string(&path)
-                .map_err(|e| BenchError::msg(format!("{}: {e}", path.display())))?;
-            for (lineno, line) in data.lines().enumerate() {
+            let data = std::fs::read_to_string(&path).map_err(io_err)?;
+            let (body, tail) = data.split_at(data.rfind('\n').map_or(0, |i| i + 1));
+            for (lineno, line) in body.lines().enumerate() {
                 if line.trim().is_empty() {
                     continue;
                 }
@@ -116,6 +126,22 @@ impl TuningStore {
                     ))
                 })?;
                 store.apply(publication);
+            }
+            if !tail.trim().is_empty() {
+                let file = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&path)
+                    .map_err(io_err)?;
+                match serde_json::from_str::<StorePublication>(tail) {
+                    Ok(publication) => {
+                        store.apply(publication);
+                        (&file).write_all(b"\n").map_err(io_err)?;
+                    }
+                    Err(_) => {
+                        file.set_len(body.len() as u64).map_err(io_err)?;
+                        store.torn_tail += 1;
+                    }
+                }
             }
         }
         store.log = Some(path);
@@ -147,6 +173,11 @@ impl TuningStore {
         self.stale_dropped
     }
 
+    /// Torn final log lines truncated by [`TuningStore::open`] (0 or 1).
+    pub fn torn_tail(&self) -> u64 {
+        self.torn_tail
+    }
+
     /// The entry stored for `signature`, if any.
     pub fn get(&self, signature: HotspotSignature) -> Option<&StoreEntry> {
         self.entries.get(&signature.packed())
@@ -176,54 +207,59 @@ impl TuningStore {
         ctx
     }
 
-    /// Merges one publication into the store and, when it was applied
-    /// (inserted or improved) and the store is log-backed, appends it to
-    /// the on-disk log.
+    /// Merges one publication into the store. When it would be applied
+    /// (inserted or improved) and the store is log-backed, it is appended
+    /// to the on-disk log first, so memory never runs ahead of disk.
     ///
     /// # Errors
     ///
-    /// Fails only when the log append fails; the in-memory state is
-    /// already updated at that point.
+    /// Fails only when the log append fails; the in-memory state is then
+    /// unchanged.
     pub fn publish(&mut self, publication: StorePublication) -> BenchResult<PublishOutcome> {
-        let outcome = self.apply(publication);
-        if matches!(outcome, PublishOutcome::Inserted | PublishOutcome::Improved) {
-            if let Some(path) = &self.log {
+        if let Some(path) = &self.log {
+            if matches!(
+                self.outcome(&publication),
+                PublishOutcome::Inserted | PublishOutcome::Improved
+            ) {
                 append_line(path, &publication)?;
             }
         }
-        Ok(outcome)
+        Ok(self.apply(publication))
+    }
+
+    /// What the merge rules would do with `publication`.
+    fn outcome(&self, publication: &StorePublication) -> PublishOutcome {
+        if publication.signature.registry_version != self.version {
+            return PublishOutcome::Stale;
+        }
+        match self.entries.get(&publication.signature.packed()) {
+            Some(existing) if publication.epi_nj >= existing.epi_nj => PublishOutcome::Kept,
+            Some(_) => PublishOutcome::Improved,
+            None => PublishOutcome::Inserted,
+        }
     }
 
     /// The merge rules, shared by live publishes and log replay.
     fn apply(&mut self, publication: StorePublication) -> PublishOutcome {
-        if publication.signature.registry_version != self.version {
-            self.stale_dropped += 1;
-            return PublishOutcome::Stale;
-        }
-        let key = publication.signature.packed();
-        let stamp = self.next_stamp;
-        let entry = StoreEntry {
-            config: publication.config,
-            ipc: publication.ipc,
-            epi_nj: publication.epi_nj,
-            trials: publication.trials,
-            stamp,
-        };
-        let outcome = match self.entries.get(&key) {
-            Some(existing) if publication.epi_nj >= existing.epi_nj => return PublishOutcome::Kept,
-            Some(_) => {
-                self.entries.insert(key, entry);
-                PublishOutcome::Improved
-            }
-            None => {
-                self.entries.insert(key, entry);
+        let outcome = self.outcome(&publication);
+        match outcome {
+            PublishOutcome::Stale => self.stale_dropped += 1,
+            PublishOutcome::Kept => {}
+            PublishOutcome::Inserted | PublishOutcome::Improved => {
+                let entry = StoreEntry {
+                    config: publication.config,
+                    ipc: publication.ipc,
+                    epi_nj: publication.epi_nj,
+                    trials: publication.trials,
+                    stamp: self.next_stamp,
+                };
+                self.next_stamp += 1;
+                self.entries.insert(publication.signature.packed(), entry);
                 if self.entries.len() > self.capacity {
                     self.evict_oldest();
                 }
-                PublishOutcome::Inserted
             }
-        };
-        self.next_stamp += 1;
+        }
         outcome
     }
 
@@ -382,6 +418,85 @@ mod tests {
         let twice = TuningStore::open(&path, 7, 16).unwrap();
         assert_eq!(twice.entries_sorted(), reopened.entries_sorted());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A crash mid-append leaves any prefix of the last line on disk.
+    /// Truncated at every byte offset of that line, the log still opens,
+    /// to the state of a replay of its intact prefix.
+    #[test]
+    fn torn_tail_at_every_offset_replays_the_intact_prefix() {
+        let path = temp_log("torn");
+        let _ = std::fs::remove_file(&path);
+        {
+            let mut store = TuningStore::open(&path, 7, 16).unwrap();
+            for (n, epi) in [(1, 0.5), (2, 0.7), (1, 0.3), (3, 0.9)] {
+                store.publish(publication(n, epi)).unwrap();
+            }
+        }
+        let full = std::fs::read_to_string(&path).unwrap();
+        let start = full[..full.len() - 1].rfind('\n').unwrap() + 1;
+        let (prefix, last) = (&full[..start], &full[start..full.len() - 1]);
+        let replay = |text: &str| {
+            std::fs::write(&path, text).unwrap();
+            TuningStore::open(&path, 7, 16).unwrap().entries_sorted()
+        };
+        let intact = replay(prefix);
+        let complete = replay(&full);
+        assert_ne!(intact, complete);
+        for cut in 0..=last.len() {
+            std::fs::write(&path, format!("{prefix}{}", &last[..cut])).unwrap();
+            let mut store = TuningStore::open(&path, 7, 16).unwrap();
+            let (want, log, torn) = match cut {
+                0 => (&intact, prefix.to_string(), 0),
+                c if c == last.len() => (&complete, full.clone(), 0),
+                _ => (&intact, prefix.to_string(), 1),
+            };
+            assert_eq!(&store.entries_sorted(), want, "cut {cut}");
+            assert_eq!(store.torn_tail(), torn, "cut {cut}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), log, "cut {cut}");
+            // The repaired log takes further appends cleanly.
+            store.publish(publication(4, 0.1)).unwrap();
+            let reopened = TuningStore::open(&path, 7, 16).unwrap();
+            assert_eq!(
+                reopened.entries_sorted(),
+                store.entries_sorted(),
+                "cut {cut}"
+            );
+            assert_eq!(reopened.torn_tail(), 0, "cut {cut}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn corrupt_mid_file_line_is_an_error() {
+        let path = temp_log("corrupt");
+        let good = serde_json::to_string(&publication(1, 0.5)).unwrap();
+        let text = format!("{good}\n{{\"signature\":\n{good}\n");
+        std::fs::write(&path, &text).unwrap();
+        let err = TuningStore::open(&path, 7, 16).unwrap_err();
+        assert!(
+            err.to_string().contains(":2: corrupt store log line"),
+            "{err}"
+        );
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            text,
+            "log untouched"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn failed_append_leaves_memory_unchanged() {
+        // The log's parent directory is a file, so every append fails.
+        let blocker = temp_log("blocker");
+        let _ = std::fs::remove_file(&blocker);
+        let mut store = TuningStore::open(blocker.join("store.jsonl"), 7, 16).unwrap();
+        std::fs::write(&blocker, "").unwrap();
+        assert!(store.publish(publication(1, 0.5)).is_err());
+        assert!(store.is_empty());
+        assert!(store.snapshot().lookup(sig(1)).is_none());
+        let _ = std::fs::remove_file(&blocker);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::ir::{MethodId, Op, Program};
 use crate::pattern::{PatternCursor, PatternId, Walk};
 use crate::rng::DetRng;
-use ace_sim::{Block, BlockSource, BranchEvent, MemAccess};
+use ace_sim::{Block, BranchEvent, MemAccess};
 
 /// Maximum loop nesting depth within a single method body.
 pub const MAX_LOOP_DEPTH: usize = 8;
@@ -405,12 +405,12 @@ impl<'p> Executor<'p> {
             }
         }
     }
-}
 
-impl BlockSource for Executor<'_> {
-    /// Streams blocks only, skipping method boundary events — the view a
-    /// phase detector or a non-adaptive baseline run needs.
-    fn next_block(&mut self, out: &mut Block) -> bool {
+    /// Produces the next dynamic block into `out`, skipping method
+    /// boundary events — the view a phase detector or a machine-only run
+    /// needs. Returns `false` (leaving `out` empty) once the program has
+    /// finished.
+    pub fn next_block(&mut self, out: &mut Block) -> bool {
         loop {
             match self.step(out) {
                 Step::Block => return true,

@@ -13,7 +13,7 @@
 //! trajectory (content-addressed result caching, byte-identical summary
 //! tests) depends on never happening.
 
-use ace_sim::{Block, BlockSource, CuKind, Machine, MachineConfig, SizeLevel};
+use ace_sim::{Block, CuKind, Machine, MachineConfig, SizeLevel};
 use ace_workloads::{preset, Executor};
 
 /// Expected counters for one pinned run.

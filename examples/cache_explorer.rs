@@ -6,7 +6,7 @@
 //! cargo run --release --example cache_explorer [workload]
 //! ```
 
-use ace::core::{AceConfig, Experiment, Scheme};
+use ace::core::{AceConfig, Experiment};
 use ace::sim::SizeLevel;
 use std::error::Error;
 
@@ -30,9 +30,7 @@ fn main() -> Result<(), Box<dyn Error>> {
         print!("{l1d_size:>3}KB ");
         for l2 in 0..4u8 {
             let fixed = AceConfig::both(SizeLevel::new(l1d).unwrap(), SizeLevel::new(l2).unwrap());
-            let r = Experiment::preset(name.as_str())
-                .scheme(Scheme::Fixed(fixed))
-                .run()?;
+            let r = Experiment::preset(name.as_str()).scheme(fixed).run()?;
             let saving = 100.0 * (1.0 - r.energy.total_nj() / base.energy.total_nj());
             let slow = 100.0 * r.slowdown_vs(&base);
             // The oracle obeys the same 2% performance bound as the tuners.

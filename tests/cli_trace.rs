@@ -1,8 +1,8 @@
 //! Exit-code and output contract of the `ace trace` subcommands, driven
 //! through the real binary: `summarize`/`timeline`/`chrome` succeed on a
 //! recorded trace, `diff` exits zero on identical runs and nonzero when a
-//! synthetic regression exceeds the thresholds, and the legacy
-//! `ace trace <workload> <file>` recorder still works.
+//! synthetic regression exceeds the thresholds, and an unknown
+//! subcommand fails with the usage text.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -165,17 +165,12 @@ fn malformed_trace_fails_with_line_number() {
 }
 
 #[test]
-fn legacy_block_trace_recorder_still_works() {
-    let dir = temp_dir("legacy");
-    let trace = dir.join("blocks.bin");
-    let out = ace(&["trace", "db", trace.to_str().unwrap(), "--limit", "200000"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(trace.metadata().unwrap().len() > 0);
-    let replay = ace(&["replay", trace.to_str().unwrap()]);
-    let _ = std::fs::remove_dir_all(&dir);
-    assert!(replay.status.success());
+fn unknown_trace_subcommand_prints_usage() {
+    for args in [&["trace", "db"][..], &["trace"][..]] {
+        let out = ace(args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+        assert!(err.contains("ace trace summarize"), "{args:?}: {err}");
+    }
 }

@@ -5,8 +5,7 @@
 //! `crates/bench`.
 
 use ace::core::{
-    AceConfig, BbvAceManager, BbvManagerConfig, Experiment, HotspotAceManager,
-    HotspotManagerConfig, Scheme,
+    AceConfig, BbvAceManager, BbvManagerConfig, Experiment, HotspotAceManager, HotspotManagerConfig,
 };
 use ace::energy::EnergyModel;
 use ace::sim::SizeLevel;
@@ -114,10 +113,7 @@ fn bbv_scheme_reports_are_consistent() {
 fn fixed_configurations_trade_energy_for_ipc() {
     let base = exp("jess", 5_000_000).run().unwrap();
     let small = exp("jess", 5_000_000)
-        .scheme(Scheme::Fixed(AceConfig::both(
-            SizeLevel::SMALLEST,
-            SizeLevel::SMALLEST,
-        )))
+        .scheme(AceConfig::both(SizeLevel::SMALLEST, SizeLevel::SMALLEST))
         .run()
         .unwrap();
     // The smallest configuration always burns less leakage...
